@@ -90,26 +90,21 @@ impl CachedSummary {
         ])
     }
 
-    fn from_json(v: &Json) -> Option<CachedSummary> {
-        let Json::Obj(fields) = v else { return None };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let name = match get("name")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
+    fn from_json(mut v: Json) -> Option<CachedSummary> {
+        let Some(Json::Str(name)) = v.take("name") else {
+            return None;
         };
-        let safety = match get("safety")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
+        let Some(Json::Str(safety)) = v.take("safety") else {
+            return None;
         };
-        let local_heap_quiet = match get("local_heap_quiet")? {
-            Json::Bool(b) => *b,
-            _ => return None,
+        let Some(Json::Bool(local_heap_quiet)) = v.take("local_heap_quiet") else {
+            return None;
         };
         let mut callees = Vec::new();
-        if let Json::Arr(items) = get("callees")? {
+        if let Json::Arr(items) = v.take("callees")? {
             for item in items {
                 match item {
-                    Json::Str(s) => callees.push(s.clone()),
+                    Json::Str(s) => callees.push(s),
                     _ => return None,
                 }
             }
@@ -166,25 +161,24 @@ impl FlowCache {
         let Ok(text) = String::from_utf8(bytes) else {
             return cache;
         };
-        let Some(Json::Obj(fields)) = parse_json(&text) else {
+        let Some(mut root) = parse_json(&text) else {
             return cache;
         };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if !matches!(get("schema"), Some(Json::Str(s)) if s == CACHE_SCHEMA) {
+        if !matches!(root.take("schema"), Some(Json::Str(s)) if s == CACHE_SCHEMA) {
             return cache;
         }
-        let Some(Json::Str(stored_checksum)) = get("checksum") else {
+        let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
             return cache;
         };
-        let entries = get("entries").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let payload = Json::obj([("entries", entries.clone())]).render();
-        if &checksum_hex(&payload) != stored_checksum {
+        let entries = root.take("entries").unwrap_or(Json::Obj(Vec::new()));
+        let payload = Json::render_fields(&[("entries", &entries)]);
+        if checksum_hex(&payload) != stored_checksum {
             return cache;
         }
-        if let Json::Obj(entries) = &entries {
+        if let Json::Obj(entries) = entries {
             for (key, v) in entries {
                 if let Some(summary) = CachedSummary::from_json(v) {
-                    cache.entries.insert(key.clone(), summary);
+                    cache.entries.insert(key, summary);
                 }
             }
         }
@@ -245,13 +239,12 @@ impl FlowCache {
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
         );
-        let payload = Json::obj([("entries", entries.clone())]).render();
-        Json::obj([
-            ("schema", Json::str(CACHE_SCHEMA)),
-            ("checksum", Json::str(checksum_hex(&payload))),
-            ("entries", entries),
+        let payload = Json::render_fields(&[("entries", &entries)]);
+        Json::render_fields(&[
+            ("schema", &Json::str(CACHE_SCHEMA)),
+            ("checksum", &Json::str(checksum_hex(&payload))),
+            ("entries", &entries),
         ])
-        .render()
     }
 
     /// Writes the cache back atomically (temp file + rename). Ephemeral

@@ -27,10 +27,12 @@
 //!   crash mid-save leaves either the old document or the new one,
 //!   never a torn hybrid (a stray temp file is inert).
 //! * **Content checksum**: the document embeds an FNV-1a 64 checksum of
-//!   the canonical `{entries, names}` payload rendering. [`DiskCache::load`]
-//!   re-renders the parsed payload and compares; any mismatch (or
-//!   malformed JSON, or a schema-tag mismatch) discards the file and
-//!   records a [`LoadOutcome::Recovered`] that drivers surface as the
+//!   the canonical `{entries, names}` payload rendering. A
+//!   [`DiskCache::load`] is one linear [`parse_json`] pass plus this
+//!   checksum over the re-rendered payload; the parsed entries are then
+//!   moved, not cloned, into the cache. Any mismatch (or malformed JSON,
+//!   or a schema-tag mismatch) discards the file and records a
+//!   [`LoadOutcome::Recovered`] that drivers surface as the
 //!   `cache_recoveries` stat and a `cache_recovery` trace event.
 //! * **Advisory save lock**: long-lived processes (the `fearlessc
 //!   serve` daemon) and batch invocations may share one cache
@@ -245,49 +247,40 @@ impl CachedOutcome {
         }
     }
 
-    pub(crate) fn from_json(v: &Json) -> Option<CachedOutcome> {
-        let fields = match v {
-            Json::Obj(fields) => fields,
-            _ => return None,
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        match get("ok")? {
+    pub(crate) fn from_json(mut v: Json) -> Option<CachedOutcome> {
+        match v.take("ok")? {
             Json::Bool(true) => {
                 let mut counters = BTreeMap::new();
-                if let Some(Json::Obj(cs)) = get("counters") {
+                if let Some(Json::Obj(cs)) = v.take("counters") {
                     for (k, v) in cs {
                         if let Json::U64(n) = v {
-                            counters.insert(k.clone(), *n);
+                            counters.insert(k, n);
                         }
                     }
                 }
                 Some(CachedOutcome::Ok {
-                    nodes: as_u64(get("nodes")?)?,
-                    vir_steps: as_u64(get("vir_steps")?)?,
-                    search_nodes: as_u64(get("search_nodes")?)?,
+                    nodes: as_u64(v.take("nodes")?)?,
+                    vir_steps: as_u64(v.take("vir_steps")?)?,
+                    search_nodes: as_u64(v.take("search_nodes")?)?,
                     counters,
                 })
             }
             Json::Bool(false) => Some(CachedOutcome::Err {
-                message: as_str(get("message")?)?.to_string(),
-                span_lo: as_u64(get("span_lo")?)? as u32,
-                span_hi: as_u64(get("span_hi")?)? as u32,
+                message: match v.take("message")? {
+                    Json::Str(s) => s,
+                    _ => return None,
+                },
+                span_lo: as_u64(v.take("span_lo")?)? as u32,
+                span_hi: as_u64(v.take("span_hi")?)? as u32,
             }),
             _ => None,
         }
     }
 }
 
-fn as_u64(v: &Json) -> Option<u64> {
+fn as_u64(v: Json) -> Option<u64> {
     match v {
-        Json::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Json) -> Option<&str> {
-    match v {
-        Json::Str(s) => Some(s),
+        Json::U64(n) => Some(n),
         _ => None,
     }
 }
@@ -362,41 +355,37 @@ impl DiskCache {
         let Ok(text) = String::from_utf8(bytes) else {
             return recovered(cache, "invalid utf-8");
         };
-        let Some(root) = parse_json(&text) else {
+        let Some(mut root @ Json::Obj(_)) = parse_json(&text) else {
             return recovered(cache, "malformed json");
         };
-        let Json::Obj(fields) = &root else {
-            return recovered(cache, "malformed json");
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if get("schema").and_then(as_str) != Some(SCHEMA) {
+        if !matches!(root.take("schema"), Some(Json::Str(s)) if s == SCHEMA) {
             return recovered(cache, "schema mismatch");
         }
-        let Some(stored_checksum) = get("checksum").and_then(as_str) else {
+        let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
             return recovered(cache, "missing checksum");
         };
-        let entries = get("entries").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let names = get("names").cloned().unwrap_or(Json::Obj(Vec::new()));
+        let entries = root.take("entries").unwrap_or(Json::Obj(Vec::new()));
+        let names = root.take("names").unwrap_or(Json::Obj(Vec::new()));
         // Re-render the parsed payload canonically; any content-altering
         // corruption (bit flip, truncation that still parses, torn
         // write) changes these bytes and fails the comparison.
-        let payload = Json::obj([("entries", entries.clone()), ("names", names.clone())]).render();
+        let payload = Json::render_fields(&[("entries", &entries), ("names", &names)]);
         if checksum_hex(&payload) != stored_checksum {
             return recovered(cache, "checksum mismatch");
         }
-        if let Json::Obj(entries) = &entries {
+        if let Json::Obj(entries) = entries {
             for (fp, v) in entries {
-                if Fingerprint::from_hex(fp).is_some() {
+                if Fingerprint::from_hex(&fp).is_some() {
                     if let Some(outcome) = CachedOutcome::from_json(v) {
-                        cache.entries.insert(fp.clone(), outcome);
+                        cache.entries.insert(fp, outcome);
                     }
                 }
             }
         }
-        if let Json::Obj(names) = &names {
+        if let Json::Obj(names) = names {
             for (name, v) in names {
-                if let Some(fp) = as_str(v) {
-                    cache.names.insert(name.clone(), fp.to_string());
+                if let Json::Str(fp) = v {
+                    cache.names.insert(name, fp);
                 }
             }
         }
@@ -520,9 +509,10 @@ impl DiskCache {
         applied
     }
 
-    /// The canonical `{entries, names}` payload rendering the checksum
-    /// covers.
-    fn payload_json(&self) -> (Json, Json) {
+    /// Renders the cache document (deterministic bytes, embedded
+    /// content checksum over the canonical `{entries, names}` payload
+    /// rendering).
+    pub fn to_json(&self) -> String {
         let entries = Json::Obj(
             self.entries
                 .iter()
@@ -535,21 +525,13 @@ impl DiskCache {
                 .map(|(k, v)| (k.clone(), Json::str(v.clone())))
                 .collect(),
         );
-        (entries, names)
-    }
-
-    /// Renders the cache document (deterministic bytes, embedded
-    /// content checksum).
-    pub fn to_json(&self) -> String {
-        let (entries, names) = self.payload_json();
-        let payload = Json::obj([("entries", entries.clone()), ("names", names.clone())]).render();
-        Json::obj([
-            ("schema", Json::str(SCHEMA)),
-            ("checksum", Json::str(checksum_hex(&payload))),
-            ("entries", entries),
-            ("names", names),
+        let payload = Json::render_fields(&[("entries", &entries), ("names", &names)]);
+        Json::render_fields(&[
+            ("schema", &Json::str(SCHEMA)),
+            ("checksum", &Json::str(checksum_hex(&payload))),
+            ("entries", &entries),
+            ("names", &names),
         ])
-        .render()
     }
 
     /// Writes the cache back to its directory (creating it if needed).
@@ -593,144 +575,158 @@ impl DiskCache {
     }
 }
 
-///// Parses the JSON subset `fearless_trace::Json::render` emits (objects,
-/// arrays, strings with the renderer's escapes, unsigned integers,
-/// booleans, null). Returns `None` on any malformed input.
+/// Deepest array/object nesting [`parse_json`] accepts. The reader
+/// recurses once per level, so without a bound a frame of nested `[`
+/// would overflow the stack — an abort, not a panic. Everything the
+/// workspace renders nests fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses the JSON subset `fearless_trace::Json::render` and
+/// `render_compact` emit: objects, arrays, strings with the renderer's
+/// escapes, unsigned integers, booleans and null, with exactly one comma
+/// between members and none after the last. Returns `None` on any
+/// malformed input, including nesting deeper than [`MAX_DEPTH`]. Inside
+/// a token it is lenient: raw control characters in strings and leading
+/// zeros in integers parse, so a bit flip there surfaces as a cache
+/// checksum mismatch rather than a parse failure.
+///
+/// One linear pass: each run of unescaped string bytes is copied as a
+/// single slice.
 pub fn parse_json(text: &str) -> Option<Json> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Some(v)
-    } else {
-        None
-    }
+    let mut reader = Reader { text, pos: 0 };
+    let v = reader.value(0)?;
+    reader.skip_ws();
+    (reader.pos == text.len()).then_some(v)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r' | b',') {
-        *pos += 1;
-    }
+/// Cursor over the already UTF-8-validated document.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match *b.get(*pos)? {
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            loop {
-                skip_ws(b, pos);
-                match *b.get(*pos)? {
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Json::Obj(fields));
+impl Reader<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace and consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let hit = self.peek() == Some(byte);
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Option<Json> {
+        self.text[self.pos..].starts_with(word).then(|| {
+            self.pos += word.len();
+            v
+        })
+    }
+
+    /// Parses `[ item (, item)* ]` or `{ member (, member)* }` after the
+    /// opening bracket, calling `item` once per element.
+    fn members(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        if self.eat(close) {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if self.eat(close) {
+                return Some(());
+            }
+            if !self.eat(b',') {
+                return None;
+            }
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Option<Json> {
+        self.skip_ws();
+        match self.peek()? {
+            b'{' | b'[' if depth >= MAX_DEPTH => None,
+            b'{' => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                self.members(b'}', |r| {
+                    r.skip_ws();
+                    let key = r.string()?;
+                    if !r.eat(b':') {
+                        return None;
                     }
-                    b'"' => {
-                        let key = parse_string(b, pos)?;
-                        skip_ws(b, pos);
-                        if *b.get(*pos)? != b':' {
-                            return None;
-                        }
-                        *pos += 1;
-                        let value = parse_value(b, pos)?;
-                        fields.push((key, value));
-                    }
-                    _ => return None,
+                    fields.push((key, r.value(depth + 1)?));
+                    Some(())
+                })?;
+                Some(Json::Obj(fields))
+            }
+            b'[' => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.members(b']', |r| {
+                    items.push(r.value(depth + 1)?);
+                    Some(())
+                })?;
+                Some(Json::Arr(items))
+            }
+            b'"' => self.string().map(Json::Str),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            b'n' => self.literal("null", Json::Null),
+            b'0'..=b'9' => {
+                let start = self.pos;
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
                 }
+                self.text[start..self.pos].parse().ok().map(Json::U64)
             }
+            _ => None,
         }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            loop {
-                skip_ws(b, pos);
-                if *b.get(*pos)? == b']' {
-                    *pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                items.push(parse_value(b, pos)?);
-            }
-        }
-        b'"' => parse_string(b, pos).map(Json::Str),
-        b't' => {
-            if b[*pos..].starts_with(b"true") {
-                *pos += 4;
-                Some(Json::Bool(true))
-            } else {
-                None
-            }
-        }
-        b'f' => {
-            if b[*pos..].starts_with(b"false") {
-                *pos += 5;
-                Some(Json::Bool(false))
-            } else {
-                None
-            }
-        }
-        b'n' => {
-            if b[*pos..].starts_with(b"null") {
-                *pos += 4;
-                Some(Json::Null)
-            } else {
-                None
-            }
-        }
-        b'0'..=b'9' => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()?
-                .parse::<u64>()
-                .ok()
-                .map(Json::U64)
-        }
-        _ => None,
     }
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
-    if *b.get(*pos)? != b'"' {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match *b.get(*pos)? {
-            b'"' => {
-                *pos += 1;
+    fn string(&mut self) -> Option<String> {
+        if self.peek()? != b'"' {
+            return None;
+        }
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            // `"` and `\` are ASCII, so the run of plain bytes before the
+            // next one ends on a char boundary of the validated text (the
+            // renderer leaves non-ASCII unescaped).
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
                 return Some(out);
             }
-            b'\\' => {
-                *pos += 1;
-                match *b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
+            let escaped = match self.peek()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.text.get(self.pos + 1..self.pos + 5)?;
+                    if !hex.bytes().all(|c| c.is_ascii_hexdigit()) {
+                        return None;
                     }
-                    _ => return None,
+                    self.pos += 4;
+                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
                 }
-                *pos += 1;
-            }
-            _ => {
-                // Copy one UTF-8 scalar (the renderer leaves non-ASCII
-                // unescaped).
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+                _ => return None,
+            };
+            out.push(escaped);
+            self.pos += 1;
         }
     }
 }
@@ -776,6 +772,62 @@ mod tests {
         // Re-render: byte identity proves the parser inverted the
         // renderer exactly.
         assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn renderer_grammar_parses() {
+        let v = parse_json("{\"a\": [1, {\"b\": []}], \"c\": {}, \"d\": \"x\\u0001y\"}").unwrap();
+        assert_eq!(
+            v.render_compact(),
+            "{\"a\": [1, {\"b\": []}], \"c\": {}, \"d\": \"x\\u0001y\"}"
+        );
+        assert_eq!(parse_json(" [ ] "), Some(Json::Arr(Vec::new())));
+    }
+
+    #[test]
+    fn missing_comma_between_members_is_rejected() {
+        assert_eq!(parse_json("[1 2]"), None);
+        assert_eq!(parse_json("{\"a\": 1 \"b\": 2}"), None);
+    }
+
+    #[test]
+    fn leading_or_doubled_commas_are_rejected() {
+        assert_eq!(parse_json("[,1,,]"), None);
+        assert_eq!(parse_json("[,1]"), None);
+        assert_eq!(parse_json("[1,,2]"), None);
+        assert_eq!(parse_json("{,\"a\": 1}"), None);
+        assert_eq!(parse_json("[,]"), None);
+    }
+
+    #[test]
+    fn trailing_commas_are_rejected() {
+        assert_eq!(parse_json("[1,]"), None);
+        assert_eq!(parse_json("{\"a\": 1,}"), None);
+        assert_eq!(parse_json("{\"a\": 1},"), None);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(parse_json(&nested(MAX_DEPTH + 1)), None);
+        let objects = format!(
+            "{}1{}",
+            "{\"k\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse_json(&objects), None);
+        // Far deeper than any stack could recurse: rejected, not an abort.
+        assert_eq!(parse_json(&"[".repeat(1_000_000)), None);
+    }
+
+    #[test]
+    fn bad_escapes_are_rejected() {
+        assert_eq!(parse_json("\"\\x\""), None);
+        assert_eq!(parse_json("\"\\u+041\""), None);
+        assert_eq!(parse_json("\"\\ud800\""), None);
+        assert_eq!(parse_json("\"\\u00e9\""), Some(Json::str("é")));
+        assert_eq!(parse_json("\"unterminated"), None);
     }
 
     #[test]

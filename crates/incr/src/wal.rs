@@ -85,22 +85,21 @@ impl WalRecord {
         }
     }
 
-    /// Parses a record; `None` on any shape mismatch.
-    pub fn from_json(v: &Json) -> Option<WalRecord> {
-        let Json::Obj(fields) = v else { return None };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let as_str = |v: &Json| match v {
-            Json::Str(s) => Some(s.clone()),
+    /// Parses a record, consuming the parsed tree; `None` on any shape
+    /// mismatch.
+    pub fn from_json(mut v: Json) -> Option<WalRecord> {
+        let mut take = |k: &str| match v.take(k)? {
+            Json::Str(s) => Some(s),
             _ => None,
         };
-        match get("kind").and_then(&as_str)?.as_str() {
+        match take("kind")?.as_str() {
             "entry" => Some(WalRecord::Entry {
-                fp: get("fp").and_then(&as_str)?,
-                outcome: CachedOutcome::from_json(get("outcome")?)?,
+                fp: take("fp")?,
+                outcome: CachedOutcome::from_json(v.take("outcome")?)?,
             }),
             "name" => Some(WalRecord::Name {
-                name: get("name").and_then(&as_str)?,
-                fp: get("fp").and_then(&as_str)?,
+                name: take("name")?,
+                fp: take("fp")?,
             }),
             _ => None,
         }
@@ -241,15 +240,11 @@ pub fn replay(dir: &Path) -> WalReplay {
         if line.is_empty() {
             continue;
         }
-        let parsed = parse_json(line);
-        let rec = parsed.as_ref().and_then(|v| {
-            let Json::Obj(fields) = v else { return None };
-            let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-            let crc = match get("crc")? {
-                Json::Str(s) => s.clone(),
-                _ => return None,
+        let rec = parse_json(line).and_then(|mut v| {
+            let Some(Json::Str(crc)) = v.take("crc") else {
+                return None;
             };
-            let body = get("rec")?;
+            let body = v.take("rec")?;
             if checksum_hex(&body.render_compact()) != crc {
                 return None;
             }

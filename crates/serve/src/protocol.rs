@@ -197,35 +197,28 @@ impl Response {
 
     /// Parses a response document.
     pub fn from_json(text: &str) -> Option<Response> {
-        let root = fearless_incr::parse_json(text)?;
-        let Json::Obj(fields) = &root else {
-            return None;
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if get("schema") != Some(&Json::str(SCHEMA)) {
+        let mut root = fearless_incr::parse_json(text)?;
+        if !matches!(root.take("schema"), Some(Json::Str(s)) if s == SCHEMA) {
             return None;
         }
-        let status = match get("status")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
+        let Some(Json::Str(status)) = root.take("status") else {
+            return None;
         };
-        let code = match get("code")? {
-            Json::U64(n) => *n,
-            _ => return None,
+        let Some(Json::U64(code)) = root.take("code") else {
+            return None;
         };
-        let output = match get("output")? {
-            Json::Str(s) => s.clone(),
-            _ => return None,
+        let Some(Json::Str(output)) = root.take("output") else {
+            return None;
         };
-        let retry_after_millis = match get("retry_after_millis") {
-            Some(Json::U64(n)) => Some(*n),
+        let retry_after_millis = match root.take("retry_after_millis") {
+            Some(Json::U64(n)) => Some(n),
             _ => None,
         };
-        let cost = match get("cost_nodes") {
-            Some(Json::U64(n)) => Some(*n),
+        let cost = match root.take("cost_nodes") {
+            Some(Json::U64(n)) => Some(n),
             _ => None,
         };
-        let stale = matches!(get("stale"), Some(Json::Bool(true)));
+        let stale = matches!(root.take("stale"), Some(Json::Bool(true)));
         Some(Response {
             status,
             code,
@@ -345,17 +338,12 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, (u64, String)> {
             format!("frame body is not a `{SCHEMA}` request object"),
         )
     };
-    let root = fearless_incr::parse_json(text).ok_or_else(malformed)?;
-    let Json::Obj(fields) = &root else {
-        return Err(malformed());
-    };
-    let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-    if get("schema") != Some(&Json::str(SCHEMA)) {
+    let mut root = fearless_incr::parse_json(text).ok_or_else(malformed)?;
+    if !matches!(root.take("schema"), Some(Json::Str(s)) if s == SCHEMA) {
         return Err(malformed());
     }
-    let kind = match get("kind") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => return Err(malformed()),
+    let Some(Json::Str(kind)) = root.take("kind") else {
+        return Err(malformed());
     };
     if !WORK_KINDS.contains(&kind.as_str()) && !CONTROL_KINDS.contains(&kind.as_str()) {
         return Err((
@@ -363,18 +351,18 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, (u64, String)> {
             format!("unknown request kind `{kind}`"),
         ));
     }
-    let body = match get("body") {
-        Some(Json::Str(s)) => s.clone(),
+    let body = match root.take("body") {
+        Some(Json::Str(s)) => s,
         None => String::new(),
         _ => return Err(malformed()),
     };
-    let deadline_millis = match get("deadline_millis") {
-        Some(Json::U64(n)) => Some(*n),
+    let deadline_millis = match root.take("deadline_millis") {
+        Some(Json::U64(n)) => Some(n),
         None => None,
         _ => return Err(malformed()),
     };
-    let allow_stale = match get("allow_stale") {
-        Some(Json::Bool(b)) => *b,
+    let allow_stale = match root.take("allow_stale") {
+        Some(Json::Bool(b)) => b,
         None => false,
         _ => return Err(malformed()),
     };
@@ -452,6 +440,49 @@ mod tests {
         );
         let ok = Request::new("check", "def f(): int { 1 }");
         assert_eq!(parse_request(ok.to_json().as_bytes()).unwrap(), ok);
+    }
+
+    #[test]
+    fn nesting_bomb_is_malformed_not_a_stack_overflow() {
+        // 100 KB of `[`: far below MAX_FRAME, far deeper than any stack
+        // can recurse. Run on a default-size thread stack, as the
+        // daemon's connection threads are.
+        let bomb = "[".repeat(100_000);
+        let code = std::thread::spawn(move || parse_request(bomb.as_bytes()).unwrap_err().0)
+            .join()
+            .expect("the parser must not abort on deep nesting");
+        assert_eq!(code, codes::MALFORMED);
+        let wrapped = format!(
+            "{{\"schema\": \"{SCHEMA}\", \"kind\": \"ping\", \"x\": {}1{}}}",
+            "{\"k\": ".repeat(10_000),
+            "}".repeat(10_000)
+        );
+        assert_eq!(
+            parse_request(wrapped.as_bytes()).unwrap_err().0,
+            codes::MALFORMED
+        );
+    }
+
+    #[test]
+    fn near_max_frame_body_decodes_in_linear_time() {
+        // A body just under MAX_FRAME, with a multi-byte char and escapes
+        // spread through it. A reader that re-scans the rest of the
+        // document per character needs many minutes for this; a linear
+        // one needs milliseconds, even unoptimized.
+        let line = "let x = \"é\" + 1;\n";
+        let body = line.repeat((MAX_FRAME as usize - 200) / (line.len() + 3));
+        let req = Request::new("check", body);
+        let wire = req.to_json();
+        assert!(wire.len() < MAX_FRAME as usize, "{} bytes", wire.len());
+        let start = std::time::Instant::now();
+        let parsed = parse_request(wire.as_bytes()).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, req);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "decoding a {}-byte request took {elapsed:?}",
+            wire.len()
+        );
     }
 
     #[test]

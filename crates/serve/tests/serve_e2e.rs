@@ -40,6 +40,29 @@ fn self_test_exercises_the_whole_protocol() {
 }
 
 #[test]
+fn nesting_bomb_frame_is_malformed_and_the_daemon_survives() {
+    let dir = scratch("nesting-bomb");
+    let socket = dir.join("serve.sock");
+    let spawned = Server::spawn(ServeOptions::new(&socket)).expect("spawn");
+    let mut c = Client::connect(&socket).expect("connect");
+    // 100 KB of `[`: well under MAX_FRAME, but unbounded recursion on it
+    // would overflow the connection thread's stack and abort the daemon.
+    let bomb = "[".repeat(100_000);
+    let r = c.request_raw(bomb.as_bytes()).expect("bomb response");
+    assert_eq!(r.code, codes::MALFORMED, "{}", r.output);
+    // In-frame failures keep the connection usable.
+    let r = c.request("ping", "").expect("ping on the same connection");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    let mut fresh = Client::connect(&socket).expect("reconnect");
+    let r = fresh.request("ping", "").expect("ping on a new connection");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    let r = fresh.request("shutdown", "").expect("shutdown");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    spawned.shutdown_and_join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shutdown_persists_the_cache_and_a_restart_runs_warm() {
     let dir = scratch("cache");
     let socket = dir.join("serve.sock");
