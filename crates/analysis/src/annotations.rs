@@ -9,31 +9,54 @@
 //! are promises to callers outside this program, so weakening them is not
 //! locally justifiable.
 //!
-//! The probe re-checks run through a fingerprint-keyed [`CheckCache`]
-//! seeded from the original checked program, so each probe only re-derives
-//! the functions its deletion actually invalidates (the mutated function
-//! plus, for signature/field edits, its transitive dependents); every
-//! untouched function is a cache hit. The verdicts are identical to full
-//! re-checks — cache correctness rests on fingerprint soundness.
+//! The probes ask "does the mutated program still check?" through
+//! `fearless-incr`'s [`check_units`] over one ephemeral check store. A
+//! single pass over the original program seeds it, so each probe only
+//! re-derives the functions its deletion actually invalidates (the mutated
+//! function plus, for signature/field edits, its transitive dependents);
+//! every untouched function replays its stored summary. A probe checks
+//! every function, not just up to the first error, and its verdict is
+//! identical to a full re-check — store correctness rests on fingerprint
+//! soundness.
 
-use fearless_core::{CheckCache, CheckedProgram};
-use fearless_syntax::{Severity, Span};
+use fearless_core::CheckedProgram;
+use fearless_incr::{check_units, CacheStats, DiskCache};
+use fearless_syntax::{Program, Severity, Span};
+use fearless_trace::Tracer;
 
 use crate::{AnalysisReport, Lint, LintCode};
 
 pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
     let options = checked.options;
-    let mut cache = CheckCache::new();
-    // A seed failure would mean the CheckedProgram is corrupt; fall back
-    // to an unseeded cache (probes still work, just cold).
-    let _ = cache.seed(checked);
-    let still_checks =
-        |report: &mut AnalysisReport, cache: &mut CheckCache, p: &fearless_syntax::Program| {
-            report.stats.recheck_experiments += 1;
-            fearless_core::check_program_incremental(p, &options, cache).is_ok()
-        };
+    let mut cache = DiskCache::ephemeral();
+    let seed = [(String::new(), checked.program.clone())];
+    check_units(&seed, &options, 1, Some(&mut cache), &mut Tracer::off());
+    // Probe traffic only: the seeding pass is not a probe.
+    let mut traffic = CacheStats::default();
+    // Re-checks `p`, the program minus one annotation, and reports that
+    // annotation at `span` when `p` still checks.
+    let mut probe = |report: &mut AnalysisReport,
+                     p: Program,
+                     func: Option<&str>,
+                     span: Span,
+                     message: String| {
+        report.stats.recheck_experiments += 1;
+        let unit = [(String::new(), p)];
+        let run = check_units(&unit, &options, 1, Some(&mut cache), &mut Tracer::off());
+        traffic.absorb(&run.stats);
+        if run.units[0].first_error().is_none() {
+            report.lints.push(Lint {
+                code: LintCode::OverStrongAnnotation,
+                severity: Severity::Warning,
+                func: func.map(str::to_string),
+                span,
+                message,
+            });
+        }
+    };
 
     for (fi, f) in checked.program.funcs.iter().enumerate() {
+        let func = Some(f.name.as_str());
         let param_span = |name: &fearless_syntax::Symbol| -> Span {
             f.params
                 .iter()
@@ -44,79 +67,41 @@ pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
         for (i, name) in f.annotations.pinned.iter().enumerate() {
             let mut p = checked.program.clone();
             p.funcs[fi].annotations.pinned.remove(i);
-            if still_checks(report, &mut cache, &p) {
-                report.lints.push(lint(
-                    f.name.as_str(),
-                    param_span(name),
-                    format!("`pinned {name}` is unnecessary: the program checks without it"),
-                ));
-            }
+            let message = format!("`pinned {name}` is unnecessary: the program checks without it");
+            probe(report, p, func, param_span(name), message);
         }
 
         for (i, rel) in f.annotations.before.iter().enumerate() {
             let mut p = checked.program.clone();
             p.funcs[fi].annotations.before.remove(i);
-            if still_checks(report, &mut cache, &p) {
-                report.lints.push(lint(
-                    f.name.as_str(),
-                    rel.span,
-                    "this `before` relation is unnecessary: the program checks without it"
-                        .to_string(),
-                ));
-            }
+            let message = "this `before` relation is unnecessary: the program checks without it";
+            probe(report, p, func, rel.span, message.to_string());
         }
 
         for (i, name) in f.annotations.consumes.iter().enumerate() {
             let mut p = checked.program.clone();
             p.funcs[fi].annotations.consumes.remove(i);
-            if still_checks(report, &mut cache, &p) {
-                report.lints.push(lint(
-                    f.name.as_str(),
-                    param_span(name),
-                    format!(
-                        "`consumes {name}` is over-strong: the program checks \
-                         without consuming it"
-                    ),
-                ));
-            }
+            let message = format!(
+                "`consumes {name}` is over-strong: the program checks without consuming it"
+            );
+            probe(report, p, func, param_span(name), message);
         }
     }
 
     for (si, s) in checked.program.structs.iter().enumerate() {
-        for (fi, field) in s.fields.iter().enumerate() {
-            if !field.iso {
-                continue;
-            }
+        for (fi, field) in s.fields.iter().enumerate().filter(|(_, f)| f.iso) {
             let mut p = checked.program.clone();
             p.structs[si].fields[fi].iso = false;
-            if still_checks(report, &mut cache, &p) {
-                report.lints.push(Lint {
-                    code: LintCode::OverStrongAnnotation,
-                    severity: Severity::Warning,
-                    func: None,
-                    span: field.span,
-                    message: format!(
-                        "field `{}.{}` is declared `iso` but the program checks \
-                         with a plain field",
-                        s.name, field.name
-                    ),
-                });
-            }
+            let message = format!(
+                "field `{}.{}` is declared `iso` but the program checks with a plain field",
+                s.name, field.name
+            );
+            probe(report, p, None, field.span, message);
         }
     }
 
-    report.stats.recheck_cache_hits = cache.stats.hits;
-    report.stats.recheck_cache_misses = cache.stats.misses;
-}
-
-fn lint(func: &str, span: Span, message: String) -> Lint {
-    Lint {
-        code: LintCode::OverStrongAnnotation,
-        severity: Severity::Warning,
-        func: Some(func.to_string()),
-        span,
-        message,
-    }
+    report.stats.recheck_cache_hits = traffic.hits;
+    report.stats.recheck_cache_misses = traffic.misses;
 }
 
 #[cfg(test)]

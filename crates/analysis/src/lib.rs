@@ -141,8 +141,8 @@ pub struct AnalysisStats {
     pub vir_redundant: BTreeMap<VirKind, usize>,
     /// Annotation-removal experiments run (each probes one deletion).
     pub recheck_experiments: usize,
-    /// Per-function probe queries answered from the fingerprint cache
-    /// (not part of the JSON report; see `fearless_core::CheckCache`).
+    /// Per-function probe queries answered from the fingerprint store
+    /// (not part of the JSON report; see `fearless_incr::check_units`).
     pub recheck_cache_hits: u64,
     /// Per-function probe queries that actually re-ran the checker.
     pub recheck_cache_misses: u64,

@@ -1,0 +1,114 @@
+//! FA002 against a cold reference: for every program with a probeable
+//! annotation, the lint's findings must equal those of a naive oracle
+//! that deletes each annotation in a fresh clone and re-checks the whole
+//! program cold with `check_program`. The lint answers its probes from a
+//! fingerprint store; this pins that the store never changes a verdict.
+
+use fearless_analyze::{analyze_program, LintCode};
+use fearless_core::{check_program, CheckedProgram, CheckerOptions};
+use fearless_syntax::{Program, Span, Symbol};
+
+/// A finding's identity: the function it names (none for struct fields)
+/// and the span it points at.
+type Finding = (Option<String>, u32, u32);
+
+fn finding(func: Option<&str>, span: Span) -> Finding {
+    (func.map(str::to_string), span.lo, span.hi)
+}
+
+/// The oracle: every FA002 candidate, probed by a cold whole-program
+/// re-check of a mutated clone.
+fn reference(checked: &CheckedProgram) -> Vec<Finding> {
+    let original = &checked.program;
+    let checks = |p: &Program| check_program(p, &checked.options).is_ok();
+    let mut found = Vec::new();
+    for (fi, f) in original.funcs.iter().enumerate() {
+        let param_span = |name: &Symbol| {
+            f.params
+                .iter()
+                .find(|p| p.name == *name)
+                .map_or(f.span, |p| p.span)
+        };
+        let func = Some(f.name.as_str());
+        for (i, name) in f.annotations.pinned.iter().enumerate() {
+            let mut p = original.clone();
+            p.funcs[fi].annotations.pinned.remove(i);
+            if checks(&p) {
+                found.push(finding(func, param_span(name)));
+            }
+        }
+        for (i, rel) in f.annotations.before.iter().enumerate() {
+            let mut p = original.clone();
+            p.funcs[fi].annotations.before.remove(i);
+            if checks(&p) {
+                found.push(finding(func, rel.span));
+            }
+        }
+        for (i, name) in f.annotations.consumes.iter().enumerate() {
+            let mut p = original.clone();
+            p.funcs[fi].annotations.consumes.remove(i);
+            if checks(&p) {
+                found.push(finding(func, param_span(name)));
+            }
+        }
+    }
+    for (si, s) in original.structs.iter().enumerate() {
+        for (fi, field) in s.fields.iter().enumerate() {
+            if field.iso {
+                let mut p = original.clone();
+                p.structs[si].fields[fi].iso = false;
+                if checks(&p) {
+                    found.push(finding(None, field.span));
+                }
+            }
+        }
+    }
+    found.sort();
+    found
+}
+
+fn has_probeable_annotation(p: &Program) -> bool {
+    p.funcs.iter().any(|f| {
+        let a = &f.annotations;
+        !a.pinned.is_empty() || !a.before.is_empty() || !a.consumes.is_empty()
+    }) || p.structs.iter().any(|s| s.fields.iter().any(|f| f.iso))
+}
+
+fn assert_matches_reference(label: &str, checked: &CheckedProgram) {
+    let report = analyze_program(checked).unwrap_or_else(|e| panic!("`{label}`: {e}"));
+    let mut lint: Vec<Finding> = report
+        .lints
+        .iter()
+        .filter(|l| l.code == LintCode::OverStrongAnnotation)
+        .map(|l| finding(l.func.as_deref(), l.span))
+        .collect();
+    lint.sort();
+    assert_eq!(lint, reference(checked), "FA002 diverged on `{label}`");
+}
+
+#[test]
+fn fa002_matches_cold_reference_on_annotated_corpus() {
+    let opts = CheckerOptions::default();
+    let mut covered = 0;
+    for entry in fearless_corpus::accepted_entries() {
+        let checked = entry.check(&opts).unwrap_or_else(|e| panic!("{e}"));
+        if has_probeable_annotation(&checked.program) {
+            assert_matches_reference(entry.name, &checked);
+            covered += 1;
+        }
+    }
+    assert!(covered > 0, "no annotated corpus entry was probed");
+}
+
+#[test]
+fn fa002_matches_cold_reference_on_a_synth_program() {
+    let src = fearless_synth::synthesize(&fearless_synth::SynthOptions {
+        seed: 7,
+        functions: 40,
+        ..fearless_synth::SynthOptions::default()
+    });
+    let checked = fearless_core::check_source(&src, &CheckerOptions::default())
+        .unwrap_or_else(|e| panic!("{}", e.render(&src)));
+    assert!(has_probeable_annotation(&checked.program));
+    assert_matches_reference("synth seed 7", &checked);
+}

@@ -1,14 +1,16 @@
-//! Cache-corruption drills: save a real check cache, damage it the way
-//! crashes damage files (truncation, bit flips, torn writes, stale
-//! schema), reload, and verify the crash-safety contract end to end —
-//! the corrupted run's reports must be **byte-identical** to a cold
-//! run's, with the recovery visible only in the `recoveries` stat.
+//! Cache-corruption drills: save a real store document — the check
+//! table (`check-cache.json`) and the flow table (`flow.json`) — damage
+//! it the way crashes damage files (truncation, bit flips, torn writes,
+//! stale schema), reload, and verify the crash-safety contract end to
+//! end: the corrupted run's output must be **byte-identical** to a cold
+//! run's, with the recovery visible only in the load outcome and the
+//! `recoveries` stat.
 
 use std::path::Path;
 
-use fearless_core::CheckerOptions;
-use fearless_incr::disk::CACHE_FILE;
-use fearless_incr::{check_units, DiskCache};
+use fearless_core::{check_program, CheckerOptions};
+use fearless_flow::{FlowCache, FlowTable};
+use fearless_incr::{check_units, DiskCache, Store, Table, UnitReport};
 use fearless_syntax::Program;
 use fearless_trace::Tracer;
 use rand::rngs::StdRng;
@@ -23,21 +25,22 @@ pub const CORRUPTIONS: &[&str] = &[
     "garbage",
 ];
 
-/// Damages the cache document in `dir` according to `class` (one of
+/// Damages table `T`'s document in `dir` according to `class` (one of
 /// [`CORRUPTIONS`]), deterministically from `seed`.
 ///
 /// # Errors
 ///
 /// I/O failures or an unknown class.
-pub fn inject_corruption(dir: &Path, class: &str, seed: u64) -> Result<(), String> {
-    let path = dir.join(CACHE_FILE);
+pub fn inject_corruption<T: Table>(dir: &Path, class: &str, seed: u64) -> Result<(), String> {
+    let path = dir.join(T::FILE);
     let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let mut rng = StdRng::seed_from_u64(seed);
     let damaged: Vec<u8> = match class {
-        // Crash mid-write without the atomic rename: only a prefix
-        // landed.
+        // Crash mid-write without the atomic rename: only a strict
+        // prefix of the content landed.
         "truncate" => {
-            let keep = rng.gen_range(0..bytes.len().max(1));
+            let content = bytes.trim_ascii_end().len();
+            let keep = rng.gen_range(0..content.max(1));
             bytes[..keep].to_vec()
         }
         // Storage decay: one flipped bit somewhere in the document.
@@ -57,9 +60,12 @@ pub fn inject_corruption(dir: &Path, class: &str, seed: u64) -> Result<(), Strin
             b
         }
         // A future (or ancient) schema wrote the file.
-        "version_bump" => String::from_utf8_lossy(&bytes)
-            .replace("fearless-incr-cache/1", "fearless-incr-cache/99")
-            .into_bytes(),
+        "version_bump" => {
+            let family = T::SCHEMA.rsplit_once('/').map_or(T::SCHEMA, |(f, _)| f);
+            String::from_utf8_lossy(&bytes)
+                .replace(T::SCHEMA, &format!("{family}/99"))
+                .into_bytes()
+        }
         // Not even UTF-8.
         "garbage" => vec![0xff, 0x00, 0xfe, b'{', 0x80, b'}'],
         other => return Err(format!("unknown corruption class `{other}`")),
@@ -67,80 +73,113 @@ pub fn inject_corruption(dir: &Path, class: &str, seed: u64) -> Result<(), Strin
     std::fs::write(&path, damaged).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-/// One corruption class's drill outcome.
+/// One corruption class's drill outcome on one document.
 #[derive(Clone, Debug)]
 pub struct DrillOutcome {
+    /// The damaged document's file name.
+    pub document: &'static str,
     /// Corruption class.
     pub class: String,
-    /// Load outcome: `true` when the loader flagged a recovery. A
-    /// truncation at offset 0 (or a bit flip in trailing whitespace) can
-    /// legitimately load clean — `recovered` reports what happened, and
-    /// `reports_match` is the invariant that must always hold.
+    /// Load outcome: `true` when the loader flagged a recovery. A bit
+    /// flip that the check table's reader tolerates (a leading zero
+    /// before an integer) can legitimately load clean — `recovered`
+    /// reports what happened, and `reports_match` is the invariant that
+    /// must always hold. The flow table has no integers, so every class
+    /// recovers there.
     pub recovered: bool,
     /// The loader's reason, when recovered.
     pub reason: Option<&'static str>,
-    /// Whether the corrupted-cache run's reports were byte-identical to
+    /// Whether the corrupted-cache run's output was byte-identical to
     /// the cold run's. **Must be true for every class.**
     pub reports_match: bool,
-    /// `recoveries` stat of the corrupted run.
+    /// `recoveries` stat of the corrupted check run (the flow driver
+    /// keeps no stats block, so 0 for the flow table).
     pub recoveries: u64,
 }
 
+impl DrillOutcome {
+    /// The drill's invariant: output byte-identical to the cold run and,
+    /// on the flow table, a surfaced recovery.
+    pub fn ok(&self) -> bool {
+        self.reports_match && (self.recovered || self.document != FlowTable::FILE)
+    }
+}
+
 /// Runs the full corruption matrix over `units` inside `dir` (created
-/// if needed): save a warm cache, damage it per class, and compare the
-/// recovered run against a cold run.
+/// if needed), on the check table and then on the flow table: save a
+/// warm document, damage it per class, and compare the recovered run
+/// against a cold run.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from saving or corrupting the document.
+/// Propagates I/O failures from saving or corrupting the document, and
+/// units that fail to check or analyze.
 pub fn run_cache_drills(
     dir: &Path,
     units: &[(String, Program)],
     seed: u64,
 ) -> Result<Vec<DrillOutcome>, String> {
     let opts = CheckerOptions::default();
-    // Reference cold run (no cache at all).
-    let mut cold_cache = DiskCache::ephemeral();
-    let cold = check_units(units, &opts, 1, Some(&mut cold_cache), &mut Tracer::off());
+    let check_run = |cache: &mut DiskCache| {
+        let run = check_units(units, &opts, 1, Some(cache), &mut Tracer::off());
+        // Cache-hit flags legitimately differ when the document survived
+        // corruption, so reports are compared with hits stripped exactly
+        // as a warm-vs-cold comparison would.
+        let mut reports: Vec<UnitReport> = run.units;
+        for f in reports.iter_mut().flat_map(|u| &mut u.functions) {
+            f.cache_hit = false;
+        }
+        Ok((reports, run.stats.recoveries))
+    };
+    let flow_run = |cache: &mut FlowCache| {
+        let mut docs = Vec::new();
+        for (label, program) in units {
+            let checked = check_program(program, &opts).map_err(|e| format!("{label}: {e}"))?;
+            let flow = fearless_flow::analyze_checked_cached(&checked, cache)
+                .map_err(|e| format!("{label}: {e}"))?;
+            docs.push(flow.to_json());
+        }
+        Ok((docs, 0))
+    };
+    // Reference cold runs (no persistent document at all).
+    let cold_check = check_run(&mut DiskCache::ephemeral())?.0;
+    let cold_flow = flow_run(&mut FlowCache::ephemeral())?.0;
+    let mut outcomes = drill_table(dir, seed, &cold_check, check_run)?;
+    outcomes.extend(drill_table(dir, seed, &cold_flow, flow_run)?);
+    let _ = std::fs::remove_dir_all(dir);
+    Ok(outcomes)
+}
 
+/// Runs every corruption class on table `T`. `run` drives the table
+/// and returns its output (compared against `cold`) and the recoveries
+/// it counted.
+fn drill_table<T: Table, R: PartialEq>(
+    dir: &Path,
+    seed: u64,
+    cold: &R,
+    mut run: impl FnMut(&mut Store<T>) -> Result<(R, u64), String>,
+) -> Result<Vec<DrillOutcome>, String> {
     let mut outcomes = Vec::new();
     for (i, class) in CORRUPTIONS.iter().enumerate() {
         // Fresh warm document for every class: corruption is applied to
         // a pristine save, not to the previous class's leftovers.
         let _ = std::fs::remove_dir_all(dir);
-        let mut warm = DiskCache::load(dir);
-        let _ = check_units(units, &opts, 1, Some(&mut warm), &mut Tracer::off());
+        let mut warm = Store::<T>::load(dir);
+        run(&mut warm)?;
         warm.save()?;
-        inject_corruption(dir, class, seed.wrapping_add(i as u64))?;
-
-        let mut damaged = DiskCache::load(dir);
-        let recovered = damaged.recovered_reason().is_some();
+        inject_corruption::<T>(dir, class, seed.wrapping_add(i as u64))?;
+        let mut damaged = Store::<T>::load(dir);
         let reason = damaged.recovered_reason();
-        let run = check_units(units, &opts, 1, Some(&mut damaged), &mut Tracer::off());
-        // Byte-identical diagnostics: identical unit reports (summaries,
-        // errors, derivation shapes — everything the CLI renders).
-        // Cache-hit flags legitimately differ when the document survived
-        // corruption (e.g. a truncation at the exact end), so compare
-        // with hits stripped exactly as a warm-vs-cold comparison would.
-        let strip = |units: &[fearless_incr::UnitReport]| {
-            let mut units = units.to_vec();
-            for u in &mut units {
-                for f in &mut u.functions {
-                    f.cache_hit = false;
-                }
-            }
-            units
-        };
-        let reports_match = strip(&run.units) == strip(&cold.units);
+        let (output, recoveries) = run(&mut damaged)?;
         outcomes.push(DrillOutcome {
+            document: T::FILE,
             class: class.to_string(),
-            recovered,
+            recovered: reason.is_some(),
             reason,
-            reports_match,
-            recoveries: run.stats.recoveries,
+            reports_match: output == *cold,
+            recoveries,
         });
     }
-    let _ = std::fs::remove_dir_all(dir);
     Ok(outcomes)
 }
 
@@ -229,6 +268,7 @@ pub fn corpus_units() -> Vec<(String, Program)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fearless_incr::CheckTable;
 
     fn drill_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("fearless-chaos-drill-{tag}-{}", std::process::id()))
@@ -239,19 +279,17 @@ mod tests {
         let units = corpus_units();
         let dir = drill_dir("matrix");
         let outcomes = run_cache_drills(&dir, &units, 0xc0ffee).unwrap();
-        assert_eq!(outcomes.len(), CORRUPTIONS.len());
+        assert_eq!(outcomes.len(), 2 * CORRUPTIONS.len());
         for o in &outcomes {
-            assert!(
-                o.reports_match,
-                "{}: corrupted-cache run diverged from cold run",
-                o.class
-            );
-            assert_eq!(
-                o.recovered,
-                o.recoveries > 0,
-                "{}: recovery stat must mirror the load outcome",
-                o.class
-            );
+            assert!(o.ok(), "{o:?}");
+            if o.document == CheckTable::FILE {
+                assert_eq!(
+                    o.recovered,
+                    o.recoveries > 0,
+                    "{}: recovery stat must mirror the load outcome",
+                    o.class
+                );
+            }
         }
         // The matrix as a whole must actually exercise recovery.
         assert!(
@@ -277,13 +315,17 @@ mod tests {
 
     #[test]
     fn garbage_and_version_bump_always_recover() {
-        // These two classes can never load clean, whatever the seed.
+        // These two classes can never load clean, whatever the seed (and
+        // on the flow table no class can, which `ok` checks).
         let units = corpus_units();
         let dir = drill_dir("certain");
         for seed in [1u64, 99, 12345] {
             let outcomes = run_cache_drills(&dir, &units, seed).unwrap();
             for o in outcomes {
-                if o.class == "garbage" || o.class == "version_bump" {
+                assert!(o.ok(), "seed {seed}: {o:?}");
+                if o.document == CheckTable::FILE
+                    && (o.class == "garbage" || o.class == "version_bump")
+                {
                     assert!(o.recovered, "{}: seed {seed}", o.class);
                     assert_eq!(o.recoveries, 1, "{}: seed {seed}", o.class);
                 }

@@ -49,9 +49,9 @@
 use std::fmt::Write as _;
 
 use fearless_chaos::{ChaosOptions, FaultSpec};
-use fearless_core::{CacheStats, CheckerMode, CheckerOptions};
+use fearless_core::{CheckerMode, CheckerOptions};
 use fearless_flow::{FlowCache, ProgramFlow};
-use fearless_incr::DiskCache;
+use fearless_incr::{CacheStats, DiskCache};
 use fearless_runtime::{Machine, MachineConfig, Value};
 use fearless_trace::{Json, MemorySink, TraceSink, Tracer};
 
@@ -1712,19 +1712,22 @@ fn chaos_command(
             let mut recovered = 0usize;
             for o in &outcomes {
                 recovered += usize::from(o.recovered);
-                failed += usize::from(!o.reports_match);
+                failed += usize::from(!o.ok());
                 let _ = writeln!(
                     out,
-                    "drill {:<12} {:<32} {}",
+                    "drill {:<16} {:<12} {:<32} {}",
+                    o.document,
                     o.class,
                     match o.reason {
                         Some(r) => format!("recovered ({r})"),
                         None => "loaded clean".to_string(),
                     },
-                    if o.reports_match {
+                    if !o.reports_match {
+                        "REPORTS DIVERGED FROM COLD RUN"
+                    } else if o.ok() {
                         "reports byte-identical to cold"
                     } else {
-                        "REPORTS DIVERGED FROM COLD RUN"
+                        "CORRUPTION WENT UNDETECTED"
                     }
                 );
             }
@@ -1737,7 +1740,8 @@ fn chaos_command(
             failed += usize::from(!concurrency_ok);
             let _ = writeln!(
                 out,
-                "drill {:<12} {:<32} {}",
+                "drill {:<16} {:<12} {:<32} {}",
+                fearless_incr::disk::CACHE_FILE,
                 "concurrent",
                 format!(
                     "{} writer(s) × {} round(s)",
@@ -1751,8 +1755,9 @@ fn chaos_command(
             );
             let _ = writeln!(
                 out,
-                "drills: {} class(es) + concurrency, {recovered} recover(ies), seed {seed}",
-                outcomes.len()
+                "drills: {} class(es) × 2 documents + concurrency, {recovered} recover(ies), seed \
+                 {seed}",
+                outcomes.len() / 2
             );
             if failed == 0 {
                 Ok(out)

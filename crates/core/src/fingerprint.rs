@@ -17,9 +17,10 @@
 //!   parameter/result types, in its body (`new`, `recv`), or in a callee
 //!   signature, closed transitively over field types.
 //!
-//! This is the cache key of [`crate::cache::CheckCache`] and of the
-//! on-disk cache in `fearless-incr`: equal fingerprints → byte-identical
-//! check outcomes, different fingerprints → conservative re-check.
+//! This is the key of the one check-outcome store, `fearless-incr`'s
+//! check table, which serves `fearlessc check --cache`, the daemon, and
+//! the FA002 lint's probes: equal fingerprints → byte-identical check
+//! outcomes, different fingerprints → conservative re-check.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;

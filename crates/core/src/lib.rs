@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod check;
 pub mod ctx;
 pub mod derivation;
@@ -45,7 +44,6 @@ pub mod state;
 pub mod unify;
 pub mod vir;
 
-pub use cache::{check_program_incremental, CacheStats, CheckCache};
 pub use check::CheckCounters;
 pub use ctx::{Binding, HeapCtx, RegionId, TrackCtx, TypeState, VarCtx, VarTrack};
 pub use derivation::{CallInfo, DerivBuilder, DerivNode, Derivation, Rule, ValInfo};

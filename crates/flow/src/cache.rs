@@ -1,9 +1,10 @@
-//! The on-disk flow-summary cache (`fearlessc flow --cache <dir>`).
+//! The flow-summary table (`fearlessc flow --cache <dir>`).
 //!
-//! Same discipline as `fearless-incr`'s check cache: one deterministic
-//! JSON document (`flow.json`, schema `fearless-flow-cache/1`) with an
-//! embedded FNV-1a 64 content checksum, written atomically via a temp
-//! file + rename, degrading to a cold start on *any* corruption.
+//! A second typed table in `fearless-incr`'s one fingerprint store: the
+//! document (`flow.json`, schema `fearless-flow-cache/1`) gets the
+//! store's embedded content checksum, atomic save, advisory save lock
+//! (`flow.lock`), and [`LoadOutcome`](fearless_incr::LoadOutcome)
+//! recovery signal, degrading to a cold start on *any* corruption.
 //!
 //! Entries are keyed by [`fn_key`]: a checksum over the function's own
 //! checker [`Fingerprint`](fearless_core::Fingerprint) and the
@@ -13,19 +14,18 @@
 //! cold runs render byte-identical flow-facts documents.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
 
-use fearless_incr::{checksum_hex, parse_json};
+use fearless_incr::{checksum_hex, Store, Table};
 use fearless_runtime::{CompiledProgram, Inst, StepSafety};
 use fearless_trace::Json;
 
 use crate::FnSummary;
 
 /// File name inside the cache directory.
-pub const CACHE_FILE: &str = "flow.json";
+pub const CACHE_FILE: &str = FlowTable::FILE;
 
 /// Schema tag of the cache document.
-pub const CACHE_SCHEMA: &str = "fearless-flow-cache/1";
+pub const CACHE_SCHEMA: &str = FlowTable::SCHEMA;
 
 /// The cache key for function `func`: own fingerprint plus the sorted
 /// fingerprints of every transitively callable function (absent
@@ -133,64 +133,52 @@ impl CachedSummary {
 }
 
 /// The persistent flow-summary cache.
+pub type FlowCache = Store<FlowTable>;
+
+/// The flow table: cached per-function summaries keyed by a checksum of
+/// the function's and its reachable callees' fingerprints, plus this
+/// session's hit/miss counters (not persisted).
 #[derive(Debug, Default)]
-pub struct FlowCache {
-    dir: Option<PathBuf>,
+pub struct FlowTable {
     entries: BTreeMap<String, CachedSummary>,
     hits: u64,
     misses: u64,
 }
 
-impl FlowCache {
-    /// An in-memory cache [`FlowCache::save`] will not persist.
-    pub fn ephemeral() -> Self {
-        FlowCache::default()
+impl Table for FlowTable {
+    const FILE: &'static str = "flow.json";
+    const SCHEMA: &'static str = "fearless-flow-cache/1";
+    const FIELDS: &'static [&'static str] = &["entries"];
+
+    fn to_fields(&self) -> Vec<Json> {
+        vec![Json::Obj(
+            self.entries
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_json()))
+                .collect(),
+        )]
     }
 
-    /// Loads the cache from `dir`, degrading to an empty cold-start
-    /// cache on any read, parse, schema, or checksum failure.
-    pub fn load(dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        let mut cache = FlowCache {
-            dir: Some(dir.clone()),
-            ..FlowCache::default()
-        };
-        let Ok(bytes) = std::fs::read(dir.join(CACHE_FILE)) else {
-            return cache;
-        };
-        let Ok(text) = String::from_utf8(bytes) else {
-            return cache;
-        };
-        let Some(mut root) = parse_json(&text) else {
-            return cache;
-        };
-        if !matches!(root.take("schema"), Some(Json::Str(s)) if s == CACHE_SCHEMA) {
-            return cache;
-        }
-        let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
-            return cache;
-        };
-        let entries = root.take("entries").unwrap_or(Json::Obj(Vec::new()));
-        let payload = Json::render_fields(&[("entries", &entries)]);
-        if checksum_hex(&payload) != stored_checksum {
-            return cache;
-        }
-        if let Json::Obj(entries) = entries {
+    fn from_fields(fields: Vec<Json>) -> Self {
+        let mut table = FlowTable::default();
+        if let Some(Json::Obj(entries)) = fields.into_iter().next() {
             for (key, v) in entries {
                 if let Some(summary) = CachedSummary::from_json(v) {
-                    cache.entries.insert(key, summary);
+                    table.entries.insert(key, summary);
                 }
             }
         }
-        cache
+        table
     }
+}
 
+impl FlowTable {
     /// Number of stored summaries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache holds no summaries.
+    /// Whether the table holds no summaries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -229,50 +217,6 @@ impl FlowCache {
             },
         );
     }
-
-    /// Renders the cache document (deterministic bytes, embedded
-    /// content checksum).
-    pub fn to_json(&self) -> String {
-        let entries = Json::Obj(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
-        let payload = Json::render_fields(&[("entries", &entries)]);
-        Json::render_fields(&[
-            ("schema", &Json::str(CACHE_SCHEMA)),
-            ("checksum", &Json::str(checksum_hex(&payload))),
-            ("entries", &entries),
-        ])
-    }
-
-    /// Writes the cache back atomically (temp file + rename). Ephemeral
-    /// caches are a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the directory or file cannot be written.
-    pub fn save(&self) -> Result<(), String> {
-        let Some(dir) = &self.dir else {
-            return Ok(());
-        };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
-        let path = dir.join(CACHE_FILE);
-        let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("cannot commit cache `{}`: {e}", path.display())
-        })
-    }
-
-    /// The backing directory, if persistent.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
 }
 
 #[cfg(test)]
@@ -280,6 +224,8 @@ mod tests {
     use super::*;
     use crate::{analyze_checked_cached, analyze_source};
     use fearless_core::{check_source, CheckerOptions};
+    use fearless_incr::LoadOutcome;
+    use std::path::PathBuf;
 
     const SRC: &str = "struct data { value: int }
         struct pair { first : data; second : data }
@@ -338,14 +284,47 @@ mod tests {
     fn corrupt_documents_degrade_to_cold() {
         let dir = temp_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(CACHE_FILE), "{ not json").unwrap();
-        assert!(FlowCache::load(&dir).is_empty());
-        std::fs::write(
-            dir.join(CACHE_FILE),
-            format!("{{\n  \"schema\": \"{CACHE_SCHEMA}\",\n  \"entries\": {{}}\n}}"),
-        )
-        .unwrap();
-        assert!(FlowCache::load(&dir).is_empty(), "missing checksum");
+        let recovers = |text: &str, reason: &'static str| {
+            std::fs::write(dir.join(CACHE_FILE), text).unwrap();
+            let cache = FlowCache::load(&dir);
+            assert!(cache.is_empty(), "{reason}");
+            assert_eq!(cache.load_outcome(), LoadOutcome::Recovered(reason));
+        };
+        recovers("{ not json", "malformed json");
+        recovers(
+            &format!("{{\n  \"schema\": \"{CACHE_SCHEMA}\",\n  \"entries\": {{}}\n}}"),
+            "missing checksum",
+        );
+        recovers(
+            "{\n  \"schema\": \"fearless-flow-cache/2\",\n  \"entries\": {}\n}",
+            "schema mismatch",
+        );
+
+        // A payload edit that still parses is caught by the checksum.
+        let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
+        let mut cache = FlowCache::ephemeral();
+        analyze_checked_cached(&checked, &mut cache).expect("analyzes");
+        recovers(
+            &cache.to_json().replace("set_value", "set_valuf"),
+            "checksum mismatch",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_leaves_only_the_document_behind() {
+        let dir = temp_dir("clean-save");
+        let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
+        let mut cache = FlowCache::load(&dir);
+        assert_eq!(cache.load_outcome(), LoadOutcome::Cold);
+        analyze_checked_cached(&checked, &mut cache).expect("analyzes");
+        cache.save().expect("saves");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [CACHE_FILE], "no temp or lock file may remain");
+        assert_eq!(FlowCache::load(&dir).load_outcome(), LoadOutcome::Warm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,7 +33,7 @@ use fearless_core::{program_fingerprints, CheckedProgram, CheckerOptions, TypeEr
 use fearless_runtime::{compile, CompiledProgram, FlowIndex, Inst, StepSafety};
 use fearless_trace::Json;
 
-pub use cache::{FlowCache, CACHE_FILE, CACHE_SCHEMA};
+pub use cache::{FlowCache, FlowTable, CACHE_FILE, CACHE_SCHEMA};
 
 /// Schema tag of the flow-facts JSON document.
 pub const SCHEMA: &str = "fearless-flow/1";

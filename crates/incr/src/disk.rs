@@ -1,71 +1,72 @@
-//! The on-disk check cache (`fearlessc check --cache <dir>`).
+//! The on-disk fingerprint store: one document path, typed tables.
 //!
-//! Layout: one deterministic JSON document, `check-cache.json`, inside
-//! the cache directory (schema `fearless-incr-cache/1`). Entries are
-//! content-addressed by [`Fingerprint`] hex and store the per-function
-//! check *summary* — verdict, derivation shape, and the span counter
-//! map — not the derivation itself: enough to replay `fearlessc check`'s
-//! report, diagnostics, and `--metrics json` spans byte-for-byte without
-//! re-deriving anything. A `names` table maps the last fingerprint seen
-//! per qualified function name, which is what turns a content change
-//! into a counted *invalidation*.
+//! Every persistent cache in the workspace is a [`Store`] over a
+//! [`Table`]. The store owns the document handling — schema tag, content
+//! checksum, load with a [`LoadOutcome`], atomic save, advisory lock —
+//! and the table owns only its typed payload. Two tables exist:
 //!
-//! The workspace is offline by design, so the file is rendered through
+//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/1`,
+//!   the [`DiskCache`] behind `fearlessc check --cache <dir>`). Entries
+//!   are content-addressed by [`Fingerprint`] hex and store the
+//!   per-function check *summary* — verdict, derivation shape, and the
+//!   span counter map — not the derivation itself: enough to replay
+//!   `fearlessc check`'s report, diagnostics, and `--metrics json` spans
+//!   byte-for-byte without re-deriving anything. A `names` table maps the
+//!   last fingerprint seen per qualified function name, which is what
+//!   turns a content change into a counted *invalidation*.
+//! * `fearless_flow::FlowTable` (`flow.json`), the flow-summary cache.
+//!
+//! The workspace is offline by design, so documents are rendered through
 //! `fearless-trace`'s [`Json`] tree and read back by the minimal parser
 //! in this module (exactly the subset that renderer emits). A missing or
-//! unreadable file degrades to an empty cache, never an error.
+//! unreadable file degrades to an empty table, never an error.
 //!
 //! ## Crash safety
 //!
-//! The cache is a *cache*: it must survive any on-disk corruption —
-//! truncation, bit flips, torn writes, schema drift — by silently
-//! degrading to a cold start with byte-identical diagnostics. Two
-//! mechanisms enforce that:
+//! A cache must survive any on-disk corruption — truncation, bit flips,
+//! torn writes, schema drift — by silently degrading to a cold start
+//! with byte-identical output. Three mechanisms enforce that, once, for
+//! every table:
 //!
-//! * **Atomic save**: [`DiskCache::save`] writes a temp file in the
-//!   cache directory and `rename`s it over `check-cache.json`, so a
-//!   crash mid-save leaves either the old document or the new one,
-//!   never a torn hybrid (a stray temp file is inert).
+//! * **Atomic save**: [`Store::save`] writes a temp file in the cache
+//!   directory and `rename`s it over the document, so a crash mid-save
+//!   leaves either the old document or the new one, never a torn hybrid
+//!   (a stray temp file is inert).
 //! * **Content checksum**: the document embeds an FNV-1a 64 checksum of
-//!   the canonical `{entries, names}` payload rendering. A
-//!   [`DiskCache::load`] is one linear [`parse_json`] pass plus this
-//!   checksum over the re-rendered payload; the parsed entries are then
-//!   moved, not cloned, into the cache. Any mismatch (or malformed JSON,
-//!   or a schema-tag mismatch) discards the file and records a
+//!   the canonical rendering of the table's payload fields. A
+//!   [`Store::load`] is one linear [`parse_json`] pass plus this checksum
+//!   over the re-rendered payload; the parsed fields are then moved, not
+//!   cloned, into the table. Any mismatch (or malformed JSON, or a
+//!   schema-tag mismatch) discards the file and records a
 //!   [`LoadOutcome::Recovered`] that drivers surface as the
 //!   `cache_recoveries` stat and a `cache_recovery` trace event.
 //! * **Advisory save lock**: long-lived processes (the `fearlessc
 //!   serve` daemon) and batch invocations may share one cache
-//!   directory. [`DiskCache::save`] takes a best-effort advisory lock
-//!   (`check-cache.lock`, created with `O_EXCL`) so concurrent savers
-//!   serialize instead of stampeding; a lock older than
-//!   [`LOCK_STALE_SECS`] is presumed abandoned by a crashed holder and
-//!   stolen. If the lock never frees, the save proceeds anyway —
-//!   last-writer-wins is safe here because the atomic rename and the
-//!   content checksum already guarantee every reader sees some
-//!   complete, verified document; the lock only reduces wasted writes,
-//!   it is not needed for correctness. The two-process drill in
+//!   directory. [`Store::save`] takes a best-effort advisory lock named
+//!   after the document (`check-cache.lock`, `flow.lock`; created with
+//!   `O_EXCL`) so concurrent savers serialize instead of stampeding; a
+//!   lock older than [`LOCK_STALE_SECS`] is presumed abandoned by a
+//!   crashed holder and stolen. If the lock never frees, the save
+//!   proceeds anyway — last-writer-wins is safe here because the atomic
+//!   rename and the content checksum already guarantee every reader sees
+//!   some complete, verified document; the lock only reduces wasted
+//!   writes, it is not needed for correctness. The two-process drill in
 //!   `fearless-chaos` (`run_concurrency_drill`) pins the contract:
 //!   concurrent save/load cycles never observe a recovery.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 
 use fearless_core::Fingerprint;
 use fearless_trace::Json;
 
-/// File name inside the cache directory.
-pub const CACHE_FILE: &str = "check-cache.json";
-
-/// Advisory lock file serializing concurrent savers.
-pub const LOCK_FILE: &str = "check-cache.lock";
+/// File name of the check table inside the cache directory.
+pub const CACHE_FILE: &str = CheckTable::FILE;
 
 /// Age (seconds) past which a lock file is presumed abandoned by a
 /// crashed holder and stolen.
 pub const LOCK_STALE_SECS: u64 = 30;
-
-/// Schema tag of the cache document.
-pub const SCHEMA: &str = "fearless-incr-cache/1";
 
 /// A held (or deliberately skipped) advisory save lock. Dropping a held
 /// lock removes the lock file.
@@ -94,12 +95,19 @@ impl LockSample {
 }
 
 impl SaveLock {
-    /// Tries to create the lock file exclusively, retrying `retries`
+    /// Tries to create the lock file for document `file` (its name with
+    /// `.json` replaced by `.lock`) exclusively, retrying `retries`
     /// times with `wait_millis` sleeps and stealing locks older than
     /// `stale_secs`. Never fails: on timeout the returned guard is
     /// simply not held and the caller proceeds last-writer-wins.
-    fn acquire(dir: &Path, retries: u32, wait_millis: u64, stale_secs: u64) -> SaveLock {
-        let path = dir.join(LOCK_FILE);
+    fn acquire(
+        dir: &Path,
+        file: &str,
+        retries: u32,
+        wait_millis: u64,
+        stale_secs: u64,
+    ) -> SaveLock {
+        let path = dir.join(format!("{}.lock", file.trim_end_matches(".json")));
         let mut attempts = 0u32;
         // Stealing a stale lock retries the create immediately and has
         // its own small budget, so it never eats the wait schedule.
@@ -285,23 +293,23 @@ fn as_u64(v: Json) -> Option<u64> {
     }
 }
 
-/// How a [`DiskCache::load`] went.
+/// How a [`Store::load`] went.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LoadOutcome {
     /// No persistent document existed (first run, or an ephemeral
-    /// cache) — an ordinary cold start.
+    /// store) — an ordinary cold start.
     #[default]
     Cold,
     /// The document parsed and its checksum verified; entries are live.
     Warm,
-    /// A document existed but was unusable; the cache degraded to a
+    /// A document existed but was unusable; the store degraded to a
     /// cold start. The payload says why (for the trace event) — it
     /// never changes diagnostics.
     Recovered(&'static str),
 }
 
 /// FNV-1a 64 over `text`, in fixed-width lowercase hex — the content
-/// checksum embedded in (and verified against) the cache document.
+/// checksum embedded in (and verified against) every cache document.
 pub fn checksum_hex(text: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.as_bytes() {
@@ -311,86 +319,66 @@ pub fn checksum_hex(text: &str) -> String {
     format!("{h:016x}")
 }
 
-/// The persistent cache: content-addressed outcomes plus the name →
-/// fingerprint table used for invalidation accounting.
-#[derive(Debug, Default)]
-pub struct DiskCache {
-    dir: Option<PathBuf>,
-    entries: BTreeMap<String, CachedOutcome>,
-    names: BTreeMap<String, String>,
-    load_outcome: LoadOutcome,
-    /// When true, every mutation is mirrored into `dirty` as a WAL
-    /// record (see [`crate::wal`]); drained by [`DiskCache::take_dirty`].
-    log_dirty: bool,
-    dirty: Vec<crate::wal::WalRecord>,
+/// A typed table persisted as one checksummed document by [`Store`].
+///
+/// The document is `{schema, checksum, <FIELDS...>}`; the checksum
+/// covers the canonical rendering of exactly the payload fields.
+pub trait Table: Default {
+    /// File name inside the cache directory.
+    const FILE: &'static str;
+    /// Schema tag of the document.
+    const SCHEMA: &'static str;
+    /// Payload field names, in document order.
+    const FIELDS: &'static [&'static str];
+
+    /// Renders the payload: one value per name in [`Table::FIELDS`].
+    fn to_fields(&self) -> Vec<Json>;
+
+    /// Rebuilds the table from checksum-verified payload values, one per
+    /// name in [`Table::FIELDS`] (an absent field arrives as an empty
+    /// object). Malformed items are skipped: a load degrades, it never
+    /// errors.
+    fn from_fields(fields: Vec<Json>) -> Self;
 }
 
-impl DiskCache {
-    /// An in-memory cache that [`DiskCache::save`] will not persist
-    /// (used by benchmarks and warm/cold comparisons inside one
+/// A [`Table`] plus where it persists and how its last load went.
+/// Dereferences to the table, so table methods are called on the store
+/// directly.
+#[derive(Debug, Default)]
+pub struct Store<T> {
+    dir: Option<PathBuf>,
+    load_outcome: LoadOutcome,
+    table: T,
+}
+
+/// The persistent check cache: replayable check outcomes keyed by
+/// fingerprint.
+pub type DiskCache = Store<CheckTable>;
+
+impl<T: Table> Store<T> {
+    /// An in-memory store that [`Store::save`] will not persist (used by
+    /// FA002 probes, benchmarks, and warm/cold comparisons inside one
     /// process).
     pub fn ephemeral() -> Self {
-        DiskCache::default()
+        Store::default()
     }
 
-    /// Loads the cache from `dir`, degrading to an empty cold-start
-    /// cache on *any* read, parse, schema, or checksum failure (a cache
+    /// Loads the table from `dir`, degrading to an empty cold-start
+    /// table on *any* read, parse, schema, or checksum failure (a cache
     /// must never turn into an error — the failure is recorded in
-    /// [`DiskCache::load_outcome`] only).
+    /// [`Store::load_outcome`] only).
     pub fn load(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
-        let mut cache = DiskCache {
-            dir: Some(dir.clone()),
-            ..DiskCache::default()
+        let (load_outcome, table) = match read_table::<T>(&dir) {
+            Ok(Some(table)) => (LoadOutcome::Warm, table),
+            Ok(None) => (LoadOutcome::Cold, T::default()),
+            Err(reason) => (LoadOutcome::Recovered(reason), T::default()),
         };
-        let recovered = |mut cache: DiskCache, reason: &'static str| {
-            cache.load_outcome = LoadOutcome::Recovered(reason);
-            cache
-        };
-        let bytes = match std::fs::read(dir.join(CACHE_FILE)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return cache,
-            Err(_) => return recovered(cache, "unreadable"),
-        };
-        let Ok(text) = String::from_utf8(bytes) else {
-            return recovered(cache, "invalid utf-8");
-        };
-        let Some(mut root @ Json::Obj(_)) = parse_json(&text) else {
-            return recovered(cache, "malformed json");
-        };
-        if !matches!(root.take("schema"), Some(Json::Str(s)) if s == SCHEMA) {
-            return recovered(cache, "schema mismatch");
+        Store {
+            dir: Some(dir),
+            load_outcome,
+            table,
         }
-        let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
-            return recovered(cache, "missing checksum");
-        };
-        let entries = root.take("entries").unwrap_or(Json::Obj(Vec::new()));
-        let names = root.take("names").unwrap_or(Json::Obj(Vec::new()));
-        // Re-render the parsed payload canonically; any content-altering
-        // corruption (bit flip, truncation that still parses, torn
-        // write) changes these bytes and fails the comparison.
-        let payload = Json::render_fields(&[("entries", &entries), ("names", &names)]);
-        if checksum_hex(&payload) != stored_checksum {
-            return recovered(cache, "checksum mismatch");
-        }
-        if let Json::Obj(entries) = entries {
-            for (fp, v) in entries {
-                if Fingerprint::from_hex(&fp).is_some() {
-                    if let Some(outcome) = CachedOutcome::from_json(v) {
-                        cache.entries.insert(fp, outcome);
-                    }
-                }
-            }
-        }
-        if let Json::Obj(names) = names {
-            for (name, v) in names {
-                if let Json::Str(fp) = v {
-                    cache.names.insert(name, fp);
-                }
-            }
-        }
-        cache.load_outcome = LoadOutcome::Warm;
-        cache
     }
 
     /// How the load went (checksum-verified, cold, or recovered from a
@@ -408,8 +396,8 @@ impl DiskCache {
         }
     }
 
-    /// Like [`DiskCache::recovered_reason`], but one-shot: the marker is
-    /// cleared so a driver running several batches over one cache counts
+    /// Like [`Store::recovered_reason`], but one-shot: the marker is
+    /// cleared so a driver running several batches over one store counts
     /// the recovery exactly once.
     pub fn take_recovered_reason(&mut self) -> Option<&'static str> {
         let reason = self.recovered_reason();
@@ -419,12 +407,161 @@ impl DiskCache {
         reason
     }
 
+    /// Renders the document (deterministic bytes, embedded content
+    /// checksum over the canonical payload rendering).
+    pub fn to_json(&self) -> String {
+        let values = self.table.to_fields();
+        let mut fields: Vec<(&str, &Json)> = T::FIELDS.iter().copied().zip(&values).collect();
+        let schema = Json::str(T::SCHEMA);
+        let checksum = Json::str(checksum_hex(&Json::render_fields(&fields)));
+        fields.splice(0..0, [("schema", &schema), ("checksum", &checksum)]);
+        Json::render_fields(&fields)
+    }
+
+    /// Writes the document back to its directory (creating it if
+    /// needed). Ephemeral stores are a no-op.
+    ///
+    /// The write is atomic: the document lands in a temp file first and
+    /// is `rename`d over [`Table::FILE`], so a crash mid-save leaves
+    /// either the previous document or the new one, never a torn
+    /// hybrid.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the directory or file cannot be written.
+    pub fn save(&self) -> Result<(), String> {
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
+        // Serialize concurrent savers (daemon + batch invocations over
+        // one directory); on timeout proceed last-writer-wins — the
+        // atomic rename plus checksum keep every reader safe.
+        let _lock = SaveLock::acquire(dir, T::FILE, 100, 5, LOCK_STALE_SECS);
+        let path = dir.join(T::FILE);
+        let tmp = dir.join(format!(
+            "{}.tmp.{}.{:x}",
+            T::FILE,
+            std::process::id(),
+            std::ptr::from_ref(self) as usize
+        ));
+        std::fs::write(&tmp, self.to_json())
+            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
+        std::fs::rename(&tmp, &path).map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("cannot commit cache `{}`: {e}", path.display())
+        })
+    }
+}
+
+impl<T> Deref for Store<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.table
+    }
+}
+
+impl<T> DerefMut for Store<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.table
+    }
+}
+
+/// Reads and verifies `dir`'s document for table `T`: `Ok(None)` when
+/// there is none, `Err(reason)` when it exists but is unusable.
+fn read_table<T: Table>(dir: &Path) -> Result<Option<T>, &'static str> {
+    let bytes = match std::fs::read(dir.join(T::FILE)) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(_) => return Err("unreadable"),
+    };
+    let text = String::from_utf8(bytes).map_err(|_| "invalid utf-8")?;
+    let Some(mut root @ Json::Obj(_)) = parse_json(&text) else {
+        return Err("malformed json");
+    };
+    if !matches!(root.take("schema"), Some(Json::Str(s)) if s == T::SCHEMA) {
+        return Err("schema mismatch");
+    }
+    let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
+        return Err("missing checksum");
+    };
+    let values: Vec<Json> = T::FIELDS
+        .iter()
+        .map(|k| root.take(k).unwrap_or(Json::Obj(Vec::new())))
+        .collect();
+    // Re-render the parsed payload canonically; any content-altering
+    // corruption (bit flip, truncation that still parses, torn write)
+    // changes these bytes and fails the comparison.
+    let fields: Vec<(&str, &Json)> = T::FIELDS.iter().copied().zip(&values).collect();
+    if checksum_hex(&Json::render_fields(&fields)) != stored_checksum {
+        return Err("checksum mismatch");
+    }
+    Ok(Some(T::from_fields(values)))
+}
+
+/// The check table: content-addressed outcomes plus the name →
+/// fingerprint table used for invalidation accounting.
+#[derive(Debug, Default)]
+pub struct CheckTable {
+    entries: BTreeMap<String, CachedOutcome>,
+    names: BTreeMap<String, String>,
+    /// When true, every mutation is mirrored into `dirty` as a WAL
+    /// record (see [`crate::wal`]); drained by [`CheckTable::take_dirty`].
+    log_dirty: bool,
+    dirty: Vec<crate::wal::WalRecord>,
+}
+
+impl Table for CheckTable {
+    const FILE: &'static str = "check-cache.json";
+    const SCHEMA: &'static str = "fearless-incr-cache/1";
+    const FIELDS: &'static [&'static str] = &["entries", "names"];
+
+    fn to_fields(&self) -> Vec<Json> {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_json()))
+            .collect();
+        let names = self
+            .names
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
+            .collect();
+        vec![Json::Obj(entries), Json::Obj(names)]
+    }
+
+    fn from_fields(fields: Vec<Json>) -> Self {
+        let mut table = CheckTable::default();
+        let mut fields = fields.into_iter();
+        if let Some(Json::Obj(entries)) = fields.next() {
+            for (fp, v) in entries {
+                if Fingerprint::from_hex(&fp).is_some() {
+                    if let Some(outcome) = CachedOutcome::from_json(v) {
+                        table.entries.insert(fp, outcome);
+                    }
+                }
+            }
+        }
+        if let Some(Json::Obj(names)) = fields.next() {
+            for (name, v) in names {
+                if let Json::Str(fp) = v {
+                    table.names.insert(name, fp);
+                }
+            }
+        }
+        table
+    }
+}
+
+impl CheckTable {
     /// Number of stored outcomes.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache holds no outcomes.
+    /// Whether the table holds no outcomes.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -466,9 +603,9 @@ impl DiskCache {
         invalidated
     }
 
-    /// Turns on the dirty log: from now on every [`DiskCache::insert`]
+    /// Turns on the dirty log: from now on every [`CheckTable::insert`]
     /// and name move is mirrored as a [`crate::wal::WalRecord`] for a
-    /// write-ahead journal, retrievable via [`DiskCache::take_dirty`].
+    /// write-ahead journal, retrievable via [`CheckTable::take_dirty`].
     pub fn enable_dirty_log(&mut self) {
         self.log_dirty = true;
     }
@@ -479,7 +616,7 @@ impl DiskCache {
     }
 
     /// Applies replayed WAL records directly (bypassing the dirty log),
-    /// returning how many actually changed the cache. Records with
+    /// returning how many actually changed the table. Records with
     /// malformed fingerprints are skipped — replay must degrade, never
     /// error.
     pub fn apply_wal(&mut self, records: &[crate::wal::WalRecord]) -> usize {
@@ -507,71 +644,6 @@ impl DiskCache {
             }
         }
         applied
-    }
-
-    /// Renders the cache document (deterministic bytes, embedded
-    /// content checksum over the canonical `{entries, names}` payload
-    /// rendering).
-    pub fn to_json(&self) -> String {
-        let entries = Json::Obj(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        );
-        let names = Json::Obj(
-            self.names
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                .collect(),
-        );
-        let payload = Json::render_fields(&[("entries", &entries), ("names", &names)]);
-        Json::render_fields(&[
-            ("schema", &Json::str(SCHEMA)),
-            ("checksum", &Json::str(checksum_hex(&payload))),
-            ("entries", &entries),
-            ("names", &names),
-        ])
-    }
-
-    /// Writes the cache back to its directory (creating it if needed).
-    /// Ephemeral caches are a no-op.
-    ///
-    /// The write is atomic: the document lands in a temp file first and
-    /// is `rename`d over [`CACHE_FILE`], so a crash mid-save leaves
-    /// either the previous document or the new one, never a torn
-    /// hybrid.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the directory or file cannot be written.
-    pub fn save(&self) -> Result<(), String> {
-        let Some(dir) = &self.dir else {
-            return Ok(());
-        };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
-        // Serialize concurrent savers (daemon + batch invocations over
-        // one directory); on timeout proceed last-writer-wins — the
-        // atomic rename plus checksum keep every reader safe.
-        let _lock = SaveLock::acquire(dir, 100, 5, LOCK_STALE_SECS);
-        let path = dir.join(CACHE_FILE);
-        let tmp = dir.join(format!(
-            "{CACHE_FILE}.tmp.{}.{:x}",
-            std::process::id(),
-            std::ptr::from_ref(self) as usize
-        ));
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("cannot commit cache `{}`: {e}", path.display())
-        })
-    }
-
-    /// The backing directory, if persistent.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 }
 
@@ -735,6 +807,9 @@ impl Reader<'_> {
 mod tests {
     use super::*;
 
+    /// The check table's advisory lock file.
+    const LOCK: &str = "check-cache.lock";
+
     fn sample() -> DiskCache {
         let mut c = DiskCache::ephemeral();
         let fp = Fingerprint::from_hex("00000000000000000000000000000abc").unwrap();
@@ -893,7 +968,7 @@ mod tests {
     fn save_releases_the_advisory_lock() {
         let dir = saved_dir("lock-release");
         assert!(
-            !dir.join(LOCK_FILE).exists(),
+            !dir.join(LOCK).exists(),
             "the lock file must be removed after a save"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -902,14 +977,14 @@ mod tests {
     #[test]
     fn stale_locks_are_stolen() {
         let dir = saved_dir("lock-stale");
-        std::fs::write(dir.join(LOCK_FILE), "99999").unwrap();
+        std::fs::write(dir.join(LOCK), "99999").unwrap();
         // A stale threshold of zero makes the fresh lock immediately
         // stealable; acquisition must succeed without waiting out the
         // retry budget.
-        let lock = SaveLock::acquire(&dir, 0, 1, 0);
+        let lock = SaveLock::acquire(&dir, CACHE_FILE, 0, 1, 0);
         assert!(lock.held, "a stale lock must be stolen");
         drop(lock);
-        assert!(!dir.join(LOCK_FILE).exists());
+        assert!(!dir.join(LOCK).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -918,12 +993,12 @@ mod tests {
         let dir = saved_dir("lock-contended");
         // A fresh lock held by "another process" that never releases:
         // acquire times out unheld, and save still writes the document.
-        std::fs::write(dir.join(LOCK_FILE), "99999").unwrap();
-        let lock = SaveLock::acquire(&dir, 2, 1, LOCK_STALE_SECS);
+        std::fs::write(dir.join(LOCK), "99999").unwrap();
+        let lock = SaveLock::acquire(&dir, CACHE_FILE, 2, 1, LOCK_STALE_SECS);
         assert!(!lock.held, "a live lock must not be stolen");
         drop(lock);
         assert!(
-            dir.join(LOCK_FILE).exists(),
+            dir.join(LOCK).exists(),
             "dropping an unheld guard must not remove someone else's lock"
         );
         let mut c = sample();
@@ -995,7 +1070,7 @@ mod tests {
         let path = dir.join(CACHE_FILE);
         let text = std::fs::read_to_string(&path)
             .unwrap()
-            .replace(SCHEMA, "fearless-incr-cache/2");
+            .replace(CheckTable::SCHEMA, "fearless-incr-cache/2");
         std::fs::write(&path, text).unwrap();
         assert_recovers(&dir, "schema mismatch");
     }
@@ -1014,7 +1089,10 @@ mod tests {
         // Strip the checksum line but keep valid JSON + schema.
         std::fs::write(
             &path,
-            format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"entries\": {{}},\n  \"names\": {{}}\n}}"),
+            format!(
+                "{{\n  \"schema\": \"{}\",\n  \"entries\": {{}},\n  \"names\": {{}}\n}}",
+                CheckTable::SCHEMA
+            ),
         )
         .unwrap();
         assert_recovers(&dir, "missing checksum");
@@ -1038,7 +1116,7 @@ mod tests {
         // changed hands between the staleness check and the steal must
         // NOT be removed, and must survive in place.
         let dir = saved_dir("lock-toctou");
-        let path = dir.join(LOCK_FILE);
+        let path = dir.join(LOCK);
         std::fs::write(&path, "11111").unwrap();
         let stale_sample = LockSample::read(&path).unwrap();
         // A fresh holder re-creates the lock in the window (different
@@ -1059,7 +1137,7 @@ mod tests {
     #[test]
     fn steal_succeeds_when_the_sample_still_matches() {
         let dir = saved_dir("lock-steal-ok");
-        let path = dir.join(LOCK_FILE);
+        let path = dir.join(LOCK);
         std::fs::write(&path, "99999").unwrap();
         let sample = LockSample::read(&path).unwrap();
         assert!(

@@ -9,10 +9,14 @@
 //! workload — a file's functions, or the whole corpus — is
 //! embarrassingly parallel. This crate exploits both:
 //!
-//! * [`disk::DiskCache`] — a deterministic on-disk JSON cache of
-//!   per-function check summaries, keyed by fingerprint, carrying enough
+//! * [`disk::Store`] — the one on-disk fingerprint store: a
+//!   deterministic, checksummed, atomically saved JSON document per
+//!   typed [`disk::Table`]. Its check table, [`DiskCache`], holds
+//!   per-function check summaries keyed by fingerprint, carrying enough
 //!   (verdict, derivation shape, span counters) to replay reports,
-//!   diagnostics, and `--metrics json` spans byte-for-byte.
+//!   diagnostics, and `--metrics json` spans byte-for-byte; FA002's
+//!   probes, `fearlessc check --cache`, and the daemon all answer from
+//!   it. `fearless-flow` keeps its flow summaries in a second table.
 //! * [`pool`] — a small hand-rolled work-stealing thread pool (no
 //!   external deps) that drives independent `check_fn` queries.
 //! * [`check_units`] — the driver: fingerprint serially, answer hits
@@ -29,11 +33,13 @@ pub mod sched;
 pub mod wal;
 
 use fearless_core::env::Globals;
-use fearless_core::{check, CacheStats, CheckerOptions, Fingerprint, TypeError};
+use fearless_core::{check, CheckerOptions, Fingerprint, TypeError};
 use fearless_syntax::{Program, Span};
 use fearless_trace::{MemorySink, Tracer};
 
-pub use disk::{checksum_hex, parse_json, CachedOutcome, DiskCache, LoadOutcome};
+pub use disk::{
+    checksum_hex, parse_json, CachedOutcome, CheckTable, DiskCache, LoadOutcome, Store, Table,
+};
 pub use wal::{CacheWal, WalRecord, WalReplay};
 
 /// Every counter name a `check` span can carry, used to re-intern
@@ -74,6 +80,34 @@ pub mod counter_names {
     /// Maps a counter name back to its static identity, if known.
     pub fn intern(name: &str) -> Option<&'static str> {
         ALL.iter().find(|k| **k == name).copied()
+    }
+}
+
+/// Hit/miss/invalidation counters for one store's traffic.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that fell through to a real `check_fn` run.
+    pub misses: u64,
+    /// Times a function name re-appeared with a *different* fingerprint
+    /// than its previous appearance (a content change forcing re-check).
+    pub invalidations: u64,
+    /// Times a persistent cache was found corrupt (truncated, torn,
+    /// bit-flipped, checksum or schema mismatch) and silently degraded
+    /// to a cold start. Diagnostics stay byte-identical to a cold run;
+    /// only this counter (and the `cache.recoveries` trace counter)
+    /// records that recovery happened.
+    pub recoveries: u64,
+}
+
+impl CacheStats {
+    /// Accumulates another stats block into this one.
+    pub fn absorb(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+        self.recoveries += other.recoveries;
     }
 }
 
@@ -338,45 +372,33 @@ fn check_one(
     def: &fearless_syntax::FnDef,
     want_counters: bool,
 ) -> CachedOutcome {
-    if want_counters {
-        let mut sink = MemorySink::new();
-        let result = check::check_fn_traced(globals, options, def, &mut Tracer::new(&mut sink));
-        match result {
-            Ok(d) => CachedOutcome::Ok {
-                nodes: d.len() as u64,
-                vir_steps: d.vir_steps as u64,
-                search_nodes: d.search_nodes as u64,
-                counters: sink
-                    .spans()
-                    .next()
-                    .map(|s| {
-                        s.counters
-                            .iter()
-                            .map(|(k, v)| (k.to_string(), *v))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            },
-            Err(e) => CachedOutcome::Err {
-                message: e.message().to_string(),
-                span_lo: e.span().lo,
-                span_hi: e.span().hi,
-            },
-        }
+    let mut sink = MemorySink::new();
+    let mut tracer = if want_counters {
+        Tracer::new(&mut sink)
     } else {
-        match check::check_fn(globals, options, def) {
-            Ok(d) => CachedOutcome::Ok {
-                nodes: d.len() as u64,
-                vir_steps: d.vir_steps as u64,
-                search_nodes: d.search_nodes as u64,
-                counters: Default::default(),
-            },
-            Err(e) => CachedOutcome::Err {
-                message: e.message().to_string(),
-                span_lo: e.span().lo,
-                span_hi: e.span().hi,
-            },
-        }
+        Tracer::off()
+    };
+    match check::check_fn_traced(globals, options, def, &mut tracer) {
+        Ok(d) => CachedOutcome::Ok {
+            nodes: d.len() as u64,
+            vir_steps: d.vir_steps as u64,
+            search_nodes: d.search_nodes as u64,
+            counters: sink
+                .spans()
+                .next()
+                .map(|s| {
+                    s.counters
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), *v))
+                        .collect()
+                })
+                .unwrap_or_default(),
+        },
+        Err(e) => CachedOutcome::Err {
+            message: e.message().to_string(),
+            span_lo: e.span().lo,
+            span_hi: e.span().hi,
+        },
     }
 }
 
@@ -439,6 +461,22 @@ mod tests {
             let serial_err = fearless_core::check_program(&program, &opts).unwrap_err();
             assert_eq!(incr_err, serial_err, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn errors_are_cached_and_replayed() {
+        let program = parse_program("def f(x: int) : bool { x }").unwrap();
+        let opts = CheckerOptions::default();
+        let unit = vec![(String::new(), program.clone())];
+        let mut cache = DiskCache::ephemeral();
+        let first = check_units(&unit, &opts, 1, Some(&mut cache), &mut Tracer::off());
+        let second = check_units(&unit, &opts, 1, Some(&mut cache), &mut Tracer::off());
+        assert_eq!((first.stats.hits, first.stats.misses), (0, 1));
+        assert_eq!((second.stats.hits, second.stats.misses), (1, 0));
+        let replayed = second.units[0].first_error().expect("f fails");
+        assert_eq!(first.units[0].first_error(), Some(replayed.clone()));
+        let plain = fearless_core::check_program(&program, &opts).unwrap_err();
+        assert_eq!(replayed, plain);
     }
 
     #[test]

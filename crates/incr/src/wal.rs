@@ -29,7 +29,7 @@
 //! ## Lifecycle
 //!
 //! On startup the daemon replays the WAL into the freshly loaded
-//! cache ([`crate::disk::DiskCache::apply_wal`]) and *compacts*:
+//! cache ([`crate::disk::CheckTable::apply_wal`]) and *compacts*:
 //! saves the merged cache document and resets the WAL. On clean
 //! shutdown the cache is saved and the WAL reset, so a WAL with
 //! records in it is always the signature of a crash.

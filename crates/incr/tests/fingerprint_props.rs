@@ -2,15 +2,15 @@
 //! of the whole incremental layer. A fingerprint must change whenever an
 //! edit can change a function's check outcome (body, own signature,
 //! callee signature, reachable struct), must NOT change under
-//! formatting, and an incremental run through a stale cache must agree
+//! formatting, and an incremental run through a stale store must agree
 //! verdict-for-verdict with a cold `check_program`.
 
 use proptest::prelude::*;
 
-use fearless_core::{
-    check_program, check_program_incremental, program_fingerprints, CheckCache, CheckerOptions,
-};
+use fearless_core::{check_program, program_fingerprints, CheckerOptions};
+use fearless_incr::{check_units, CachedOutcome, DiskCache};
 use fearless_syntax::parse_program;
+use fearless_trace::Tracer;
 use std::collections::BTreeMap;
 
 /// A small call-graph template: `caller` depends on `get` and `make`,
@@ -85,15 +85,17 @@ proptest! {
     }
 
     /// The end-to-end soundness property: re-checking a random sequence
-    /// of program variants through ONE long-lived cache gives exactly the
+    /// of program variants through ONE long-lived store gives exactly the
     /// verdict a cold `check_program` gives on each variant — including
     /// the variants that fail to check (`get` loses its body's field).
+    /// The store keeps replayable summaries, not derivations, so accepted
+    /// variants compare each function's derivation shape.
     #[test]
     fn incremental_agrees_with_cold_check_everywhere(
         edits in prop::collection::vec((0i64..1000, prop::bool::ANY, 0usize..4), 1..12),
     ) {
         let opts = CheckerOptions::default();
-        let mut cache = CheckCache::new();
+        let mut cache = DiskCache::ephemeral();
         let mut last = None;
         for (k, pinned, field_pick) in edits {
             // field_pick 3 renames the struct field but NOT the body use,
@@ -106,26 +108,40 @@ proptest! {
             };
             let program = parse_program(&source).unwrap();
             let cold = check_program(&program, &opts);
-            let incr = check_program_incremental(&program, &opts, &mut cache);
-            match (cold, incr) {
-                (Ok(c), Ok(i)) => prop_assert_eq!(c.derivations, i.derivations),
-                (Err(c), Err(i)) => prop_assert_eq!(c, i),
+            let units = vec![(String::new(), program)];
+            let run = check_units(&units, &opts, 1, Some(&mut cache), &mut Tracer::off());
+            let unit = &run.units[0];
+            match (cold, unit.first_error()) {
+                (Ok(c), None) => {
+                    prop_assert_eq!(c.derivations.len(), unit.functions.len());
+                    for (d, f) in c.derivations.iter().zip(&unit.functions) {
+                        match &f.outcome {
+                            CachedOutcome::Ok { nodes, vir_steps, search_nodes, .. } => {
+                                prop_assert_eq!(*nodes, d.len() as u64);
+                                prop_assert_eq!(*vir_steps, d.vir_steps as u64);
+                                prop_assert_eq!(*search_nodes, d.search_nodes as u64);
+                            }
+                            CachedOutcome::Err { message, .. } => {
+                                prop_assert!(false, "{} failed: {message}", f.name)
+                            }
+                        }
+                    }
+                }
+                (Err(c), Some(i)) => prop_assert_eq!(c, i),
                 (c, i) => prop_assert!(
                     false,
                     "verdicts diverged: cold ok={} incr ok={}",
                     c.is_ok(),
-                    i.is_ok()
+                    i.is_none()
                 ),
             }
-            last = Some(program);
+            last = Some(units);
         }
-        // Re-checking the final variant warm must answer every queried
-        // function from the cache (on an erroring variant the failing
-        // function's cached error short-circuits the rest).
-        let program = last.unwrap();
-        let before = cache.stats;
-        let _ = check_program_incremental(&program, &opts, &mut cache);
-        prop_assert!(cache.stats.hits > before.hits);
-        prop_assert_eq!(cache.stats.misses, before.misses, "warm run must not re-derive");
+        // Re-checking the final variant warm must answer every function
+        // from the store, erroring variants included.
+        let units = last.unwrap();
+        let warm = check_units(&units, &opts, 1, Some(&mut cache), &mut Tracer::off());
+        prop_assert_eq!(warm.stats.hits, units[0].1.funcs.len() as u64);
+        prop_assert_eq!(warm.stats.misses, 0, "warm run must not re-derive");
     }
 }

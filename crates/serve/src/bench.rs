@@ -23,7 +23,7 @@ use fearless_incr::disk::checksum_hex;
 use fearless_obs::{Histogram, HistogramSet, Journal, JournalEntry};
 use fearless_trace::Json;
 
-use crate::client::{stat_counter, Client};
+use crate::client::{splitmix, stat_counter, Client};
 use crate::protocol::{codes, WORK_KINDS};
 
 /// Load-generator configuration.
@@ -66,14 +66,6 @@ pub struct BenchOutcome {
     pub bench_text: String,
     /// Human summary for stdout.
     pub summary: String,
-}
-
-/// SplitMix64: the deterministic per-request body assignment.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn synth_body(seed: u64, functions: usize) -> String {

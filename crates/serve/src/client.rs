@@ -38,14 +38,14 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 — the same seeded generator the bench uses; here it only
-/// jitters backoff sleeps (never response bytes).
-fn splitmix(mut x: u64) -> u64 {
+/// SplitMix64, the crate's one seeded generator: the bench uses it for
+/// the deterministic per-request body assignment, the client only to
+/// jitter backoff sleeps (never response bytes).
+pub(crate) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// A connected protocol client. One request/response at a time; open
