@@ -30,7 +30,7 @@ use crate::scenario::{all_scenarios, Scenario, Spawn};
 use crate::schedule::ChaosSchedule;
 
 /// Chaos-run configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosOptions {
     /// Seeds to explore per scenario (seed values `0..seeds`).
     pub seeds: u64,

@@ -3,25 +3,12 @@
 //! The `fearlessc` command-line driver: parse, check, verify, and run
 //! programs written in the tempered-domination surface language.
 //!
-//! ```text
-//! fearlessc check   (program.fc | --corpus) [--mode tempered|gd|tree] [--no-oracle]
-//!                   [--jobs N] [--cache dir] [--trace t.json] [--metrics json]
-//!                   [--obs journal.json] [--trace-out trace.json]
-//! fearlessc verify  program.fc
-//! fearlessc lint    program.fc [--mode tempered|gd|tree] [--format human|json] [--deny-warnings]
-//! fearlessc run     program.fc --entry main [--arg 42]... [--unchecked] [--sanitize-domination]
-//!                   [--obs journal.json] [--trace-out trace.json]
-//! fearlessc report  (program.fc --entry main [--arg 42]... | --corpus) [--json]
-//!                   [--sanitize-domination] [--flow-facts] [--obs f] [--trace-out f]
-//! fearlessc flow    (program.fc | --corpus) [--cache dir]
-//! fearlessc profile (program.fc | --corpus) [--cache dir] [--wall-time] [--metrics json]
-//! fearlessc chaos   (program.fc | --corpus) [--seeds N] [--faults spec] [--fuel N] [--json]
-//! fearlessc chaos fuzz   [--cases N] [--seed N]
-//! fearlessc chaos drills [--dir dir] [--seed N]
-//! fearlessc bench-diff   old.json new.json [--threshold pct] [--json]
-//! fearlessc strip-nondet file.json
-//! fearlessc table1
-//! ```
+//! The synopsis of every command is [`USAGE`] (`fearlessc help`).
+//! [`parse_args`] reads a command line through one flag table (the
+//! `args` module): each flag is spelled and value-checked once, each
+//! command lists the flags it accepts, and any other `--` token is an
+//! error. Each command lives in its own module and executes from its
+//! parsed struct; the four telemetry flags travel as one [`Telemetry`].
 //!
 //! The observability surface (`fearless-obs`) hangs off most commands:
 //! `--obs <file>` writes the deterministic event journal (schema
@@ -46,114 +33,48 @@
 
 #![warn(missing_docs)]
 
-use std::fmt::Write as _;
+mod args;
+mod bench;
+mod chaos;
+mod check;
+mod flow;
+mod lint;
+mod profile;
+mod report;
+mod run;
+mod serve;
+mod synth;
+mod telemetry;
 
-use fearless_chaos::{ChaosOptions, FaultSpec};
-use fearless_core::{CheckerMode, CheckerOptions};
-use fearless_flow::{FlowCache, ProgramFlow};
-use fearless_incr::{CacheStats, DiskCache};
-use fearless_runtime::{Machine, MachineConfig, Value};
-use fearless_trace::{Json, MemorySink, TraceSink, Tracer};
+use fearless_synth::SynthOptions;
+
+pub use args::{parse_args, Input};
+pub use chaos::Chaos;
+pub use check::Check;
+pub use flow::Flow;
+pub use lint::{Lint, LintFormat};
+pub use profile::Profile;
+pub use report::{Report, ReportSource};
+pub use run::Run;
+pub use serve::{Client, Serve, ServeBench};
+pub use telemetry::Telemetry;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Type-check a file (or the whole corpus).
-    Check {
-        /// Source path (`None` with `--corpus`).
-        path: Option<String>,
-        /// Check every corpus entry instead of a file.
-        corpus: bool,
-        /// Discipline.
-        mode: CheckerMode,
-        /// Disable the liveness oracle (pure backtracking search).
-        no_oracle: bool,
-        /// Worker threads for per-function checking (1 = serial).
-        jobs: usize,
-        /// Directory holding the persistent per-function check cache.
-        cache: Option<String>,
-        /// Write the instrumentation trace (JSON) to this file.
-        trace: Option<String>,
-        /// Print metrics JSON instead of the human report.
-        metrics_json: bool,
-        /// Write the deterministic event journal (fearless-obs/1) here.
-        obs: Option<String>,
-        /// Write a Chrome trace-event / Perfetto document here.
-        trace_out: Option<String>,
-    },
+    Check(Check),
     /// Type-check and independently verify the derivations.
     Verify {
         /// Source path.
         path: String,
     },
     /// Run the static-analysis lint passes (`fearless-analyze`).
-    Lint {
-        /// Source path.
-        path: String,
-        /// Discipline to check under before analyzing.
-        mode: CheckerMode,
-        /// Output format.
-        format: LintFormat,
-        /// Exit nonzero when any finding is reported.
-        deny_warnings: bool,
-        /// Write the instrumentation trace (JSON) to this file.
-        trace: Option<String>,
-        /// Print metrics JSON instead of the findings report.
-        metrics_json: bool,
-    },
+    Lint(Lint),
     /// Check, then run an entry function on the abstract machine.
-    Run {
-        /// Source path.
-        path: String,
-        /// Entry function name.
-        entry: String,
-        /// Integer arguments for the entry function.
-        args: Vec<i64>,
-        /// Skip the static check and run with reservation checks anyway
-        /// (for demonstrating dynamic faults, experiment E8).
-        unchecked: bool,
-        /// Assert tempered domination over the whole heap after every
-        /// machine step (the dynamic sanitizer).
-        sanitize: bool,
-        /// Install the static flow index so the sanitizer skips
-        /// statically `Safe` steps and partial-walks `RegionLocal` ones.
-        flow_facts: bool,
-        /// Write the instrumentation trace (JSON) to this file.
-        trace: Option<String>,
-        /// Print metrics JSON instead of the human report.
-        metrics_json: bool,
-        /// Write the deterministic event journal (fearless-obs/1) here.
-        obs: Option<String>,
-        /// Write a Chrome trace-event / Perfetto document here.
-        trace_out: Option<String>,
-    },
-    /// Per-machine runtime telemetry: run a program (or the chaos
-    /// scenario corpus) and render a top-style lane table or machine
-    /// JSON (`fearless-obs`).
-    Report {
-        /// Render a serve-bench journal as a per-client lane table
-        /// instead of running anything (`fearless-serve`).
-        serve: Option<String>,
-        /// Source path (`None` with `--corpus`).
-        path: Option<String>,
-        /// Run the built-in scenario corpus instead of a file.
-        corpus: bool,
-        /// Entry function (file mode).
-        entry: Option<String>,
-        /// Integer arguments for the entry function.
-        args: Vec<i64>,
-        /// Walk the heap each step asserting tempered domination, so
-        /// the lanes attribute sanitizer cost per machine.
-        sanitize: bool,
-        /// Amortize the sanitizer with the static flow index.
-        flow_facts: bool,
-        /// Print the machine-readable report JSON instead of the table.
-        json: bool,
-        /// Write the deterministic event journal (fearless-obs/1) here.
-        obs: Option<String>,
-        /// Write a Chrome trace-event / Perfetto document here.
-        trace_out: Option<String>,
-    },
+    Run(Run),
+    /// Per-machine runtime telemetry (`fearless-obs`).
+    Report(Report),
     /// Compare two BENCH_*.json counter documents against thresholds;
     /// exits nonzero on regression (`fearless-obs`).
     BenchDiff {
@@ -173,138 +94,26 @@ pub enum Command {
     },
     /// Dump the `fearless-flow` per-function step-safety summaries as
     /// deterministic JSON.
-    Flow {
-        /// Source path (`None` with `--corpus`).
-        path: Option<String>,
-        /// Analyze every accepted corpus entry instead of a file.
-        corpus: bool,
-        /// Directory holding the persistent per-function flow cache.
-        cache: Option<String>,
-    },
+    Flow(Flow),
     /// Print a per-function/per-phase counter table (checker
     /// instrumentation).
-    Profile {
-        /// Source path (`None` with `--corpus`).
-        path: Option<String>,
-        /// Profile every accepted corpus entry instead of a file.
-        corpus: bool,
-        /// Add a wall-clock time column (makes output nondeterministic).
-        wall_time: bool,
-        /// Print the raw trace JSON instead of the table.
-        metrics_json: bool,
-        /// Directory holding the persistent per-function check cache;
-        /// adds a trailing hit/miss/invalidation line to the table.
-        cache: Option<String>,
-    },
+    Profile(Profile),
     /// Deterministic fault injection (`fearless-chaos`).
-    Chaos {
-        /// Sub-mode: adversarial schedules, pipeline fuzzing, or
-        /// cache-corruption drills.
-        mode: ChaosMode,
-        /// Source path (`None` with `--corpus`; schedules mode only).
-        path: Option<String>,
-        /// Sweep the built-in scenario corpus instead of a file.
-        corpus: bool,
-        /// Schedule seeds per scenario.
-        seeds: u64,
-        /// Fault vocabulary the adversarial schedules may exhibit.
-        faults: FaultSpec,
-        /// Step-fuel budget per run.
-        fuel: u64,
-        /// Walk the heap each step asserting tempered domination.
-        sanitize: bool,
-        /// Amortize the sanitizer with the static flow index.
-        flow_facts: bool,
-        /// Shadow every classified check with a full walk (the
-        /// differential soundness oracle; implies `--flow-facts`).
-        crosscheck: bool,
-        /// Print the deterministic report JSON instead of the summary.
-        json: bool,
-        /// Fuzz cases (`None`: `FEARLESS_FUZZ_CASES`, then the default).
-        cases: Option<u64>,
-        /// Base seed for fuzz inputs / drill corruption / wire faults.
-        seed: u64,
-        /// Scratch directory for cache/wire drills.
-        dir: Option<String>,
-        /// Write the BENCH_guard.json document here (serve mode).
-        out: Option<String>,
-        /// Per-seed watchdog budget in seconds (serve mode): a drill
-        /// that exceeds it fails as a hang.
-        watchdog: u64,
-    },
+    Chaos(Chaos),
     /// Generate a seeded, deterministic well-typed program
     /// (`fearless-synth`; see docs/CORPUS.md).
     Synth {
-        /// RNG seed (same seed ⇒ byte-identical output).
-        seed: u64,
-        /// Generated definitions on top of the motif prelude.
-        functions: usize,
-        /// Maximum generated `syn_box*` struct families.
-        boxes: usize,
-        /// Maximum statements per generated body.
-        max_ops: usize,
-        /// Callee-sampling locality window.
-        window: usize,
+        /// Generator knobs (same options ⇒ byte-identical output).
+        options: SynthOptions,
         /// Write the program here instead of stdout.
         out: Option<String>,
     },
     /// Run the compiler-as-a-service daemon (`fearless-serve`).
-    Serve {
-        /// Unix socket path to listen on.
-        socket: String,
-        /// Worker threads computing responses.
-        workers: usize,
-        /// Bounded queue capacity; arrivals past it are shed.
-        queue: usize,
-        /// Directory holding the persistent fingerprint cache (kept hot
-        /// in memory, written back on shutdown).
-        cache: Option<String>,
-        /// Retry-after hint (milliseconds) on `overloaded` responses.
-        retry_after: u64,
-        /// Run the in-process end-to-end self-test instead of serving.
-        once: bool,
-    },
-    /// Drive a running daemon with the seeded load generator
-    /// (`fearless-serve`).
-    ServeBench {
-        /// Daemon socket to connect to.
-        socket: String,
-        /// Concurrent clients.
-        clients: usize,
-        /// Requests per client.
-        requests: usize,
-        /// Distinct synthesized request bodies.
-        bodies: usize,
-        /// Workload seed (same seed ⇒ same requests ⇒ same
-        /// deterministic counters).
-        seed: u64,
-        /// Shed-drill requests beyond the queue capacity.
-        shed_extra: usize,
-        /// Write the fearless-obs/1 journal here.
-        obs: Option<String>,
-        /// Write the BENCH_serve.json document here.
-        out: Option<String>,
-    },
-    /// Send one request to a running daemon and print the response
-    /// body.
-    Client {
-        /// Daemon socket to connect to.
-        socket: String,
-        /// Request kind (`check`/`lint`/`flow`/`profile` or a control
-        /// kind like `ping`, `stats`, `shutdown`).
-        kind: String,
-        /// File holding the request body (`-` for stdin; omitted for
-        /// control kinds).
-        path: Option<String>,
-        /// Deterministic logical deadline (`deadline_millis`) to attach
-        /// to the request.
-        deadline: Option<u64>,
-        /// Retry `overloaded` responses up to this many times with
-        /// bounded seeded backoff.
-        retries: Option<u32>,
-        /// Tolerate a stale answer under load (`allow_stale`).
-        stale_ok: bool,
-    },
+    Serve(Serve),
+    /// Drive a running daemon with the seeded load generator.
+    ServeBench(ServeBench),
+    /// Send one request to a running daemon and print the response body.
+    Client(Client),
     /// Print a function's typing derivation.
     Explain {
         /// Source path.
@@ -316,6 +125,29 @@ pub enum Command {
     Table1,
     /// Print usage.
     Help,
+}
+
+impl Command {
+    /// The program file this command reads its source from (`-` is
+    /// stdin), if any.
+    pub fn source_path(&self) -> Option<&str> {
+        match self {
+            Command::Check(Check { input, .. })
+            | Command::Flow(Flow { input, .. })
+            | Command::Profile(Profile { input, .. })
+            | Command::Chaos(Chaos::Schedules { input, .. }) => input.path(),
+            Command::Verify { path }
+            | Command::Explain { path, .. }
+            | Command::Lint(Lint { path, .. })
+            | Command::Run(Run { path, .. })
+            | Command::Report(Report {
+                source: ReportSource::Program { path, .. },
+                ..
+            }) => Some(path),
+            Command::Client(client) => client.path.as_deref(),
+            _ => None,
+        }
+    }
 }
 
 /// Usage text.
@@ -446,29 +278,6 @@ exit status: 0 ok; 1 diagnostics/violations; 2 missing input file;
 3 unreadable input file; 4 input not valid UTF-8; 70 internal error
 ";
 
-/// Output format for `fearlessc lint`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintFormat {
-    /// Rendered diagnostics with source excerpts.
-    Human,
-    /// Machine-readable JSON (deterministic; golden-file friendly).
-    Json,
-}
-
-/// Sub-mode of `fearlessc chaos`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosMode {
-    /// Seeded adversarial-schedule sweep against the soundness oracles.
-    Schedules,
-    /// Grammar-aware + raw-bytes fuzzing of the whole pipeline.
-    Fuzz,
-    /// Cache-corruption matrix against the crash-safe loader.
-    Drills,
-    /// Wire-level socket faults + guard drills against the serve
-    /// daemon (seeded; every seed under a watchdog).
-    Serve,
-}
-
 /// Exit status: the input file does not exist.
 pub const EXIT_MISSING_FILE: i32 = 2;
 /// Exit status: the input file exists but cannot be read.
@@ -478,591 +287,6 @@ pub const EXIT_INVALID_UTF8: i32 = 4;
 /// Exit status: an internal error (a panic) escaped the driver — a bug
 /// in `fearlessc` itself, never in the user's program.
 pub const EXIT_ICE: i32 = 70;
-
-/// Parses command-line arguments (excluding the program name).
-///
-/// # Errors
-///
-/// Returns a usage message on malformed input.
-pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "table1" => Ok(Command::Table1),
-        "check" => {
-            let mut path = None;
-            let mut corpus = false;
-            let mut mode = CheckerMode::Tempered;
-            let mut no_oracle = false;
-            let mut jobs = 1usize;
-            let mut cache = None;
-            let mut trace = None;
-            let mut metrics_json = false;
-            let mut obs = None;
-            let mut trace_out = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--mode" => {
-                        mode = match it.next().map(String::as_str) {
-                            Some("tempered") => CheckerMode::Tempered,
-                            Some("gd") => CheckerMode::GlobalDomination,
-                            Some("tree") => CheckerMode::TreeOfObjects,
-                            Some(other) => {
-                                return Err(format!(
-                                    "unknown mode `{other}` (expected `tempered`, `gd`, or `tree`)"
-                                ))
-                            }
-                            None => return Err("--mode requires a value".to_string()),
-                        };
-                    }
-                    "--no-oracle" => no_oracle = true,
-                    "--corpus" => corpus = true,
-                    "--jobs" => jobs = parse_jobs(it.next())?,
-                    "--cache" => {
-                        cache = Some(it.next().ok_or("--cache requires a directory")?.clone());
-                    }
-                    "--trace" => trace = Some(it.next().ok_or("--trace requires a file")?.clone()),
-                    "--metrics" => metrics_json = parse_metrics(it.next())?,
-                    "--obs" => obs = Some(it.next().ok_or("--obs requires a file")?.clone()),
-                    "--trace-out" => {
-                        trace_out = Some(it.next().ok_or("--trace-out requires a file")?.clone());
-                    }
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            if corpus == path.is_some() {
-                return Err("check needs a file or --corpus (not both)".to_string());
-            }
-            Ok(Command::Check {
-                path,
-                corpus,
-                mode,
-                no_oracle,
-                jobs,
-                cache,
-                trace,
-                metrics_json,
-                obs,
-                trace_out,
-            })
-        }
-        "verify" => {
-            let path = it.next().ok_or("missing file")?.to_string();
-            Ok(Command::Verify { path })
-        }
-        "synth" => {
-            let defaults = fearless_synth::SynthOptions::default();
-            let mut seed = defaults.seed;
-            let mut functions = defaults.functions;
-            let mut boxes = defaults.boxes;
-            let mut max_ops = defaults.max_ops;
-            let mut window = defaults.window;
-            let mut out = None;
-            fn num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-                v.ok_or(format!("{flag} requires a value"))?
-                    .parse()
-                    .map_err(|_| format!("{flag} requires a non-negative integer"))
-            }
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seed" => seed = num("--seed", it.next())?,
-                    "--functions" => functions = num("--functions", it.next())?,
-                    "--boxes" => boxes = num("--boxes", it.next())?,
-                    "--max-ops" => max_ops = num("--max-ops", it.next())?,
-                    "--window" => window = num("--window", it.next())?,
-                    "--out" => out = Some(it.next().ok_or("--out requires a file")?.clone()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Synth {
-                seed,
-                functions,
-                boxes,
-                max_ops,
-                window,
-                out,
-            })
-        }
-        "lint" => {
-            let mut path = None;
-            let mut mode = CheckerMode::Tempered;
-            let mut format = LintFormat::Human;
-            let mut deny_warnings = false;
-            let mut trace = None;
-            let mut metrics_json = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--mode" => {
-                        mode = match it.next().map(String::as_str) {
-                            Some("tempered") => CheckerMode::Tempered,
-                            Some("gd") => CheckerMode::GlobalDomination,
-                            Some("tree") => CheckerMode::TreeOfObjects,
-                            Some(other) => {
-                                return Err(format!(
-                                    "unknown mode `{other}` (expected `tempered`, `gd`, or `tree`)"
-                                ))
-                            }
-                            None => return Err("--mode requires a value".to_string()),
-                        };
-                    }
-                    "--format" => {
-                        format = match it.next().map(String::as_str) {
-                            Some("human") => LintFormat::Human,
-                            Some("json") => LintFormat::Json,
-                            Some(other) => {
-                                return Err(format!(
-                                    "unknown format `{other}` (expected `human` or `json`)"
-                                ))
-                            }
-                            None => return Err("--format requires a value".to_string()),
-                        };
-                    }
-                    "--deny-warnings" => deny_warnings = true,
-                    "--trace" => trace = Some(it.next().ok_or("--trace requires a file")?.clone()),
-                    "--metrics" => metrics_json = parse_metrics(it.next())?,
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Lint {
-                path: path.ok_or("missing file")?,
-                mode,
-                format,
-                deny_warnings,
-                trace,
-                metrics_json,
-            })
-        }
-        "explain" => {
-            let mut path = None;
-            let mut func = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--fn" => func = it.next().cloned(),
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Explain {
-                path: path.ok_or("missing file")?,
-                func: func.ok_or("missing --fn")?,
-            })
-        }
-        "run" => {
-            let mut path = None;
-            let mut entry = None;
-            let mut run_args = Vec::new();
-            let mut unchecked = false;
-            let mut sanitize = false;
-            let mut flow_facts = false;
-            let mut trace = None;
-            let mut metrics_json = false;
-            let mut obs = None;
-            let mut trace_out = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--entry" => entry = it.next().cloned(),
-                    "--arg" => {
-                        let v = it.next().ok_or("missing value after --arg")?;
-                        run_args.push(v.parse::<i64>().map_err(|e| e.to_string())?);
-                    }
-                    "--unchecked" => unchecked = true,
-                    "--sanitize-domination" => sanitize = true,
-                    "--flow-facts" => flow_facts = true,
-                    "--trace" => trace = Some(it.next().ok_or("--trace requires a file")?.clone()),
-                    "--metrics" => metrics_json = parse_metrics(it.next())?,
-                    "--obs" => obs = Some(it.next().ok_or("--obs requires a file")?.clone()),
-                    "--trace-out" => {
-                        trace_out = Some(it.next().ok_or("--trace-out requires a file")?.clone());
-                    }
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Run {
-                path: path.ok_or("missing file")?,
-                entry: entry.ok_or("missing --entry")?,
-                args: run_args,
-                unchecked,
-                sanitize,
-                flow_facts,
-                trace,
-                metrics_json,
-                obs,
-                trace_out,
-            })
-        }
-        "report" => {
-            let mut serve = None;
-            let mut path = None;
-            let mut corpus = false;
-            let mut entry = None;
-            let mut run_args = Vec::new();
-            let mut sanitize = false;
-            let mut flow_facts = false;
-            let mut json = false;
-            let mut obs = None;
-            let mut trace_out = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--serve" => {
-                        serve = Some(it.next().ok_or("--serve requires a journal file")?.clone());
-                    }
-                    "--corpus" => corpus = true,
-                    "--entry" => entry = it.next().cloned(),
-                    "--arg" => {
-                        let v = it.next().ok_or("missing value after --arg")?;
-                        run_args.push(v.parse::<i64>().map_err(|e| e.to_string())?);
-                    }
-                    "--sanitize-domination" => sanitize = true,
-                    "--flow-facts" => flow_facts = true,
-                    "--json" => json = true,
-                    "--obs" => obs = Some(it.next().ok_or("--obs requires a file")?.clone()),
-                    "--trace-out" => {
-                        trace_out = Some(it.next().ok_or("--trace-out requires a file")?.clone());
-                    }
-                    p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            if serve.is_some() {
-                if corpus || path.is_some() || entry.is_some() {
-                    return Err(
-                        "report --serve takes only a journal file (no source, --corpus, or \
-                         --entry)"
-                            .to_string(),
-                    );
-                }
-            } else {
-                if corpus == path.is_some() {
-                    return Err("report needs a file or --corpus (not both)".to_string());
-                }
-                if !corpus && entry.is_none() {
-                    return Err("report <file> requires --entry <fn>".to_string());
-                }
-            }
-            Ok(Command::Report {
-                serve,
-                path,
-                corpus,
-                entry,
-                args: run_args,
-                sanitize,
-                flow_facts,
-                json,
-                obs,
-                trace_out,
-            })
-        }
-        "bench-diff" => {
-            let mut files = Vec::new();
-            let mut threshold_pct = 10u64;
-            let mut json = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--threshold" => threshold_pct = parse_u64(it.next(), "--threshold")?,
-                    "--json" => json = true,
-                    p if !p.starts_with('-') => files.push(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            if files.len() != 2 {
-                return Err("bench-diff needs exactly two files: <old.json> <new.json>".to_string());
-            }
-            let new = files.pop().expect("two files");
-            let old = files.pop().expect("two files");
-            Ok(Command::BenchDiff {
-                old,
-                new,
-                threshold_pct,
-                json,
-            })
-        }
-        "strip-nondet" => {
-            let path = it.next().ok_or("strip-nondet needs a file")?.to_string();
-            if let Some(extra) = it.next() {
-                return Err(format!("unexpected argument `{extra}`"));
-            }
-            Ok(Command::StripNondet { path })
-        }
-        "flow" => {
-            let mut path = None;
-            let mut corpus = false;
-            let mut cache = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--corpus" => corpus = true,
-                    "--cache" => {
-                        cache = Some(it.next().ok_or("--cache requires a directory")?.clone());
-                    }
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            if corpus == path.is_some() {
-                return Err("flow needs a file or --corpus (not both)".to_string());
-            }
-            Ok(Command::Flow {
-                path,
-                corpus,
-                cache,
-            })
-        }
-        "profile" => {
-            let mut path = None;
-            let mut corpus = false;
-            let mut wall_time = false;
-            let mut metrics_json = false;
-            let mut cache = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--corpus" => corpus = true,
-                    "--wall-time" => wall_time = true,
-                    "--metrics" => metrics_json = parse_metrics(it.next())?,
-                    "--cache" => {
-                        cache = Some(it.next().ok_or("--cache requires a directory")?.clone());
-                    }
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            if corpus == path.is_some() {
-                return Err("profile needs a file or --corpus (not both)".to_string());
-            }
-            Ok(Command::Profile {
-                path,
-                corpus,
-                wall_time,
-                metrics_json,
-                cache,
-            })
-        }
-        "chaos" => {
-            let mut mode = ChaosMode::Schedules;
-            let mut path = None;
-            let mut corpus = false;
-            let defaults = ChaosOptions::default();
-            let mut seeds = None;
-            let mut faults = defaults.faults;
-            let mut fuel = defaults.fuel;
-            let mut sanitize = defaults.sanitize;
-            let mut flow_facts = defaults.flow_facts;
-            let mut crosscheck = defaults.crosscheck;
-            let mut json = false;
-            let mut cases = None;
-            let mut seed = 0u64;
-            let mut dir = None;
-            let mut out = None;
-            let mut watchdog = 120u64;
-            let mut first = true;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "fuzz" if first => mode = ChaosMode::Fuzz,
-                    "drills" if first => mode = ChaosMode::Drills,
-                    "serve" if first => mode = ChaosMode::Serve,
-                    "--corpus" => corpus = true,
-                    "--seeds" => seeds = Some(parse_u64(it.next(), "--seeds")?),
-                    "--out" => out = Some(it.next().ok_or("--out requires a file")?.clone()),
-                    "--watchdog" => watchdog = parse_u64(it.next(), "--watchdog")?,
-                    "--faults" => {
-                        faults = FaultSpec::parse(it.next().ok_or("--faults requires a spec")?)?;
-                    }
-                    "--fuel" => fuel = parse_u64(it.next(), "--fuel")?,
-                    "--no-sanitize" => sanitize = false,
-                    "--flow-facts" => flow_facts = true,
-                    "--crosscheck" => {
-                        flow_facts = true;
-                        crosscheck = true;
-                    }
-                    "--json" => json = true,
-                    "--cases" => cases = Some(parse_u64(it.next(), "--cases")?),
-                    "--seed" => seed = parse_u64(it.next(), "--seed")?,
-                    "--dir" => dir = Some(it.next().ok_or("--dir requires a directory")?.clone()),
-                    p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-                first = false;
-            }
-            match mode {
-                ChaosMode::Schedules => {
-                    if corpus == path.is_some() {
-                        return Err("chaos needs a file or --corpus (not both)".to_string());
-                    }
-                }
-                ChaosMode::Fuzz | ChaosMode::Drills | ChaosMode::Serve => {
-                    if corpus || path.is_some() {
-                        return Err(
-                            "chaos fuzz/drills/serve generate their own inputs (no file or \
-                             --corpus)"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-            // The wire drill is a heavier per-seed exercise (two
-            // daemons, a crash recovery) — its default sweep is smaller
-            // than the schedule sweep's.
-            let seeds = seeds.unwrap_or(match mode {
-                ChaosMode::Serve => 5,
-                _ => defaults.seeds,
-            });
-            Ok(Command::Chaos {
-                mode,
-                path,
-                corpus,
-                seeds,
-                faults,
-                fuel,
-                sanitize,
-                flow_facts,
-                crosscheck,
-                json,
-                cases,
-                seed,
-                dir,
-                out,
-                watchdog,
-            })
-        }
-        "serve" => {
-            let mut socket = None;
-            let mut workers = 2usize;
-            let mut queue = 16usize;
-            let mut cache = None;
-            let mut retry_after = 25u64;
-            let mut once = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => {
-                        socket = Some(it.next().ok_or("--socket requires a path")?.clone());
-                    }
-                    "--workers" => {
-                        workers = parse_u64(it.next(), "--workers")?.max(1) as usize;
-                    }
-                    "--queue" => {
-                        queue = parse_u64(it.next(), "--queue")?.max(1) as usize;
-                    }
-                    "--cache" => {
-                        cache = Some(it.next().ok_or("--cache requires a directory")?.clone());
-                    }
-                    "--retry-after" => retry_after = parse_u64(it.next(), "--retry-after")?,
-                    "--once" => once = true,
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Serve {
-                socket: socket.ok_or("serve requires --socket <path>")?,
-                workers,
-                queue,
-                cache,
-                retry_after,
-                once,
-            })
-        }
-        "serve-bench" => {
-            let mut socket = None;
-            let mut clients = 4usize;
-            let mut requests = 6usize;
-            let mut bodies = 6usize;
-            let mut seed = 42u64;
-            let mut shed_extra = 4usize;
-            let mut obs = None;
-            let mut out = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => {
-                        socket = Some(it.next().ok_or("--socket requires a path")?.clone());
-                    }
-                    "--clients" => clients = parse_u64(it.next(), "--clients")?.max(1) as usize,
-                    "--requests" => requests = parse_u64(it.next(), "--requests")?.max(1) as usize,
-                    "--bodies" => bodies = parse_u64(it.next(), "--bodies")?.max(1) as usize,
-                    "--seed" => seed = parse_u64(it.next(), "--seed")?,
-                    "--shed-extra" => {
-                        shed_extra = parse_u64(it.next(), "--shed-extra")? as usize;
-                    }
-                    "--obs" => obs = Some(it.next().ok_or("--obs requires a file")?.clone()),
-                    "--out" => out = Some(it.next().ok_or("--out requires a file")?.clone()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::ServeBench {
-                socket: socket.ok_or("serve-bench requires --socket <path>")?,
-                clients,
-                requests,
-                bodies,
-                seed,
-                shed_extra,
-                obs,
-                out,
-            })
-        }
-        "client" => {
-            let mut socket = None;
-            let mut kind = None;
-            let mut path = None;
-            let mut deadline = None;
-            let mut retries = None;
-            let mut stale_ok = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => {
-                        socket = Some(it.next().ok_or("--socket requires a path")?.clone());
-                    }
-                    "--deadline" => deadline = Some(parse_u64(it.next(), "--deadline")?),
-                    "--retries" => {
-                        retries =
-                            Some(parse_u64(it.next(), "--retries")?.min(u32::MAX as u64) as u32);
-                    }
-                    "--stale-ok" => stale_ok = true,
-                    p if kind.is_none() => kind = Some(p.to_string()),
-                    p if path.is_none() => path = Some(p.to_string()),
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            Ok(Command::Client {
-                socket: socket.ok_or("client requires --socket <path>")?,
-                kind: kind.ok_or("client requires a request kind")?,
-                path,
-                deadline,
-                retries,
-                stale_ok,
-            })
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    }
-}
-
-fn parse_u64(value: Option<&String>, flag: &str) -> Result<u64, String> {
-    value
-        .ok_or(format!("{flag} requires a number"))?
-        .parse::<u64>()
-        .map_err(|_| format!("{flag} requires a number"))
-}
-
-fn parse_jobs(value: Option<&String>) -> Result<usize, String> {
-    let n = value
-        .ok_or("--jobs requires a number")?
-        .parse::<usize>()
-        .map_err(|_| "--jobs requires a number".to_string())?;
-    if n == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
-    Ok(n)
-}
-
-fn parse_metrics(value: Option<&String>) -> Result<bool, String> {
-    match value.map(String::as_str) {
-        Some("json") => Ok(true),
-        Some(other) => Err(format!(
-            "unknown metrics format `{other}` (expected `json`)"
-        )),
-        None => Err("--metrics requires a value (`json`)".to_string()),
-    }
-}
 
 /// Executes a command against source text, returning the report to print.
 ///
@@ -1077,1112 +301,32 @@ pub fn execute_on_source(cmd: &Command, src: &str) -> Result<String, String> {
 /// `1` for any error, `1` for `lint --deny-warnings` with findings (the
 /// report still goes to stdout), `0` otherwise.
 pub fn execute_on_source_with_code(cmd: &Command, src: &str) -> (Result<String, String>, i32) {
-    if let Command::Lint {
-        mode,
-        format,
-        deny_warnings,
-        trace,
-        metrics_json,
-        ..
-    } = cmd
-    {
-        return lint_source(src, *mode, *format, *deny_warnings, trace, *metrics_json);
-    }
-    let result = execute_plain(cmd, src);
-    let code = i32::from(result.is_err());
-    (result, code)
-}
-
-fn lint_source(
-    src: &str,
-    mode: CheckerMode,
-    format: LintFormat,
-    deny_warnings: bool,
-    trace: &Option<String>,
-    metrics_json: bool,
-) -> (Result<String, String>, i32) {
-    let want = trace.is_some() || metrics_json;
-    let mut sink = MemorySink::new();
-    let opts = CheckerOptions::with_mode(mode);
-    let checked = {
-        let mut tracer = if want {
-            Tracer::new(&mut sink)
-        } else {
-            Tracer::off()
-        };
-        match fearless_core::check_source_traced(src, &opts, &mut tracer) {
-            Ok(c) => c,
-            Err(e) => return (Err(e.render(src)), 1),
-        }
-    };
-    if want {
-        sink.span_enter("lint", "analyze");
-    }
-    let report = match fearless_analyze::analyze_program(&checked) {
-        Ok(r) => r,
-        Err(msg) => return (Err(msg), 1),
-    };
-    if want {
-        sink.add("lint.findings", report.lints.len() as u64);
-        sink.add(
-            "lint.recheck_experiments",
-            report.stats.recheck_experiments as u64,
-        );
-        sink.add("lint.recheck_cache_hits", report.stats.recheck_cache_hits);
-        sink.add(
-            "lint.recheck_cache_misses",
-            report.stats.recheck_cache_misses,
-        );
-        sink.span_exit();
-    }
-    let out = match format {
-        LintFormat::Human => report.render_human(src),
-        LintFormat::Json => report.to_json(src),
-    };
-    let out = match finish_trace(&sink, trace.as_deref(), metrics_json, out) {
-        Ok(o) => o,
-        Err(e) => return (Err(e), 1),
-    };
-    let code = i32::from(deny_warnings && !report.is_clean());
-    (Ok(out), code)
-}
-
-/// Writes the trace file (when requested) and picks the final stdout
-/// payload: the trace JSON under `--metrics json`, the normal report
-/// otherwise.
-fn finish_trace(
-    sink: &MemorySink,
-    trace: Option<&str>,
-    metrics_json: bool,
-    normal: String,
-) -> Result<String, String> {
-    if let Some(path) = trace {
-        std::fs::write(path, sink.to_json())
-            .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-    }
-    if metrics_json {
-        Ok(sink.to_json())
-    } else {
-        Ok(normal)
-    }
-}
-
-fn execute_plain(cmd: &Command, src: &str) -> Result<String, String> {
-    match cmd {
+    let result = match cmd {
+        Command::Lint(lint) => return lint.execute(src),
         Command::Help => Ok(USAGE.to_string()),
         Command::Table1 => Ok(fearless_baselines::render_table1()),
-        Command::Synth {
-            seed,
-            functions,
-            boxes,
-            max_ops,
-            window,
-            out,
-        } => {
-            let opts = fearless_synth::SynthOptions {
-                seed: *seed,
-                functions: *functions,
-                boxes: *boxes,
-                max_ops: *max_ops,
-                window: *window,
-            };
-            let source = fearless_synth::synthesize(&opts);
-            match out {
-                Some(path) => {
-                    std::fs::write(path, &source)
-                        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-                    Ok(format!(
-                        "synthesized {} bytes (seed {seed}, {functions} generated functions) to {path}\n",
-                        source.len()
-                    ))
-                }
-                None => Ok(source),
-            }
-        }
-        Command::Check {
-            corpus,
-            mode,
-            no_oracle,
-            jobs,
-            cache,
-            trace,
-            metrics_json,
-            obs,
-            trace_out,
-            ..
-        } => {
-            let mut opts = CheckerOptions::with_mode(*mode);
-            opts.liveness_oracle = !no_oracle;
-            check_command(
-                src,
-                *corpus,
-                &opts,
-                *jobs,
-                cache.as_deref(),
-                trace,
-                *metrics_json,
-                obs.as_deref(),
-                trace_out.as_deref(),
-            )
-        }
-        Command::Chaos {
-            mode,
-            corpus,
-            seeds,
-            faults,
-            fuel,
-            sanitize,
-            flow_facts,
-            crosscheck,
-            json,
-            cases,
-            seed,
-            dir,
-            out,
-            watchdog,
-            ..
-        } => {
-            let opts = ChaosOptions {
-                seeds: *seeds,
-                faults: *faults,
-                fuel: *fuel,
-                sanitize: *sanitize,
-                flow_facts: *flow_facts,
-                crosscheck: *crosscheck,
-            };
-            chaos_command(
-                src,
-                *mode,
-                *corpus,
-                &opts,
-                *json,
-                *cases,
-                *seed,
-                dir.as_deref(),
-                out.as_deref(),
-                *watchdog,
-            )
-        }
-        Command::Explain { func, .. } => {
-            let checked = fearless_core::check_source(src, &CheckerOptions::default())
-                .map_err(|e| e.render(src))?;
-            let derivation = checked
-                .derivations
-                .iter()
-                .find(|d| d.func.as_str() == func)
-                .ok_or_else(|| format!("no function `{func}`"))?;
-            Ok(derivation.render())
-        }
-        Command::Verify { .. } => {
-            let checked = fearless_core::check_source(src, &CheckerOptions::default())
-                .map_err(|e| e.render(src))?;
-            let report = fearless_verify::verify_program(&checked).map_err(|e| e.to_string())?;
-            Ok(format!(
-                "verified: {} function(s), {} rule nodes, {} TS1 steps replayed\n",
-                report.functions, report.rule_nodes, report.vir_steps
-            ))
-        }
-        Command::Lint {
-            mode,
-            format,
-            deny_warnings,
-            trace,
-            metrics_json,
-            ..
-        } => lint_source(src, *mode, *format, *deny_warnings, trace, *metrics_json).0,
-        Command::Run {
-            entry,
-            args,
-            unchecked,
-            sanitize,
-            flow_facts,
-            trace,
-            metrics_json,
-            obs,
-            trace_out,
-            ..
-        } => {
-            let want = trace.is_some() || *metrics_json || obs.is_some() || trace_out.is_some();
-            let mut sink = MemorySink::new();
-            if !unchecked {
-                let mut tracer = if want {
-                    Tracer::new(&mut sink)
-                } else {
-                    Tracer::off()
-                };
-                fearless_core::check_source_traced(src, &CheckerOptions::default(), &mut tracer)
-                    .map_err(|e| e.render(src))?;
-            }
-            let program = fearless_syntax::parse_program(src).map_err(|e| e.render(src))?;
-            let config = MachineConfig {
-                sanitize_domination: *sanitize,
-                ..MachineConfig::default()
-            };
-            let mut machine = Machine::with_config(&program, config).map_err(|e| e.to_string())?;
-            if *flow_facts {
-                let compiled = fearless_runtime::compile(&program).map_err(|e| e.to_string())?;
-                machine.set_flow_index(fearless_flow::analyze_compiled(&compiled).index());
-            }
-            let values = args.iter().map(|&n| Value::Int(n)).collect();
-            let (result, sink) = if want {
-                sink.span_enter("run", entry);
-                machine.set_trace_sink(Box::new(sink));
-                let result = machine.call(entry, values).map_err(|e| e.to_string())?;
-                machine.emit_stats();
-                let mut sink = *machine
-                    .take_trace_sink()
-                    .expect("sink installed above")
-                    .into_any()
-                    .downcast::<MemorySink>()
-                    .expect("sink is a MemorySink");
-                sink.span_exit();
-                (result, sink)
-            } else {
-                let result = machine.call(entry, values).map_err(|e| e.to_string())?;
-                (result, sink)
-            };
-            let stats = machine.stats();
-            let mut out = format!(
-                "{entry}(…) = {result}\n{} steps, {} allocations, {} field reads, {} field \
-                 writes, {} reservation checks\n",
-                stats.steps,
-                stats.allocs,
-                stats.field_reads,
-                stats.field_writes,
-                stats.reservation_checks
-            );
-            if *sanitize {
-                let _ = writeln!(
-                    out,
-                    "domination sanitizer: {} iso edge(s) checked, all dominating",
-                    stats.sanitize_checks
-                );
-                if *flow_facts {
-                    let _ = writeln!(
-                        out,
-                        "flow facts: {} walk(s) skipped, {} partial walk(s)",
-                        stats.sanitize_skipped, stats.sanitize_partial_walks
-                    );
-                }
-            }
-            write_run_obs(
-                &sink,
-                machine.lanes(),
-                stats,
-                obs.as_deref(),
-                trace_out.as_deref(),
-            )?;
-            finish_trace(&sink, trace.as_deref(), *metrics_json, out)
-        }
-        Command::Report {
-            serve,
-            corpus,
-            entry,
-            args,
-            sanitize,
-            flow_facts,
-            json,
-            obs,
-            trace_out,
-            ..
-        } => {
-            if let Some(journal_path) = serve {
-                let text = load_source(journal_path).map_err(|(m, _)| m)?;
-                return fearless_serve::render_serve_report(&text);
-            }
-            report_command(
-                src,
-                *corpus,
-                entry.as_deref(),
-                args,
-                *sanitize,
-                *flow_facts,
-                *json,
-                obs.as_deref(),
-                trace_out.as_deref(),
-            )
-        }
-        Command::Serve {
-            socket,
-            workers,
-            queue,
-            cache,
-            retry_after,
-            once,
-        } => {
-            let socket = std::path::PathBuf::from(socket);
-            if *once {
-                return fearless_serve::self_test(&socket);
-            }
-            let mut opts = fearless_serve::ServeOptions::new(&socket);
-            opts.workers = *workers;
-            opts.queue_capacity = *queue;
-            opts.cache_dir = cache.as_ref().map(std::path::PathBuf::from);
-            opts.retry_after_millis = *retry_after;
-            let server = fearless_serve::Server::bind(opts)?;
-            server.run()
-        }
-        Command::ServeBench {
-            socket,
-            clients,
-            requests,
-            bodies,
-            seed,
-            shed_extra,
-            obs,
-            out,
-        } => {
-            let opts = fearless_serve::BenchOptions {
-                socket: std::path::PathBuf::from(socket),
-                clients: *clients,
-                requests: *requests,
-                bodies: *bodies,
-                seed: *seed,
-                shed_extra: *shed_extra,
-            };
-            let outcome = fearless_serve::run_bench(&opts)?;
-            if let Some(path) = obs {
-                std::fs::write(path, &outcome.journal_text)
-                    .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
-            }
-            if let Some(path) = out {
-                std::fs::write(path, &outcome.bench_text)
-                    .map_err(|e| format!("cannot write bench document `{path}`: {e}"))?;
-            }
-            Ok(outcome.summary)
-        }
-        Command::Client {
-            socket,
-            kind,
-            deadline,
-            retries,
-            stale_ok,
-            ..
-        } => {
-            let mut client = fearless_serve::Client::connect(std::path::Path::new(socket))?;
-            let mut req = fearless_serve::Request::new(kind.clone(), src);
-            req.deadline_millis = *deadline;
-            req.allow_stale = *stale_ok;
-            let response = match retries {
-                Some(n) => {
-                    let policy = fearless_serve::RetryPolicy {
-                        max_retries: *n,
-                        ..fearless_serve::RetryPolicy::new()
-                    };
-                    client.send_with_retry(&req, policy)?.0
-                }
-                None => client.send(&req)?,
-            };
-            if response.code == 0 {
-                Ok(response.output)
-            } else {
-                Err(response.output)
-            }
-        }
+        Command::Check(check) => check.execute(src),
+        Command::Verify { .. } => check::verify(src),
+        Command::Explain { func, .. } => check::explain(src, func),
+        Command::Run(run) => run.execute(src),
+        Command::Report(report) => report.execute(src),
         Command::BenchDiff {
             old,
             new,
             threshold_pct,
             json,
-        } => {
-            let old_text = load_source(old).map_err(|(m, _)| m)?;
-            let new_text = load_source(new).map_err(|(m, _)| m)?;
-            bench_diff_command(&old_text, &new_text, *threshold_pct, *json)
-        }
-        Command::StripNondet { path } => {
-            let text = load_source(path).map_err(|(m, _)| m)?;
-            strip_nondet_command(&text)
-        }
-        Command::Flow { corpus, cache, .. } => flow_command(src, *corpus, cache.as_deref()),
-        Command::Profile {
-            path,
-            corpus,
-            wall_time,
-            metrics_json,
-            cache,
-        } => {
-            if *corpus {
-                profile_corpus(*wall_time, *metrics_json, cache.as_deref())
-            } else {
-                let label = path.as_deref().unwrap_or("<source>");
-                let mut disk = cache.as_deref().map(DiskCache::load);
-                let mut stats = CacheStats::default();
-                let sink = profile_source(src, "", disk.as_mut(), &mut stats)?;
-                save_cache(&disk)?;
-                if *metrics_json {
-                    // Wall time serializes only under `_nondet`-tagged
-                    // keys, which `strip-nondet` removes for CI diffs.
-                    Ok(sink.to_json_value_opts(*wall_time).render())
-                } else {
-                    let mut out = render_profile(&sink, label, *wall_time);
-                    if cache.is_some() {
-                        let _ = writeln!(out, "{}", render_cache_line(&stats));
-                    }
-                    Ok(out)
-                }
-            }
-        }
-    }
-}
-
-/// Runs `fearlessc check` through the `fearless-incr` driver (which all
-/// check invocations use, so serial, parallel, cold, and warm runs share
-/// one code path and one output format).
-#[allow(clippy::too_many_arguments)]
-fn check_command(
-    src: &str,
-    corpus: bool,
-    opts: &CheckerOptions,
-    jobs: usize,
-    cache: Option<&str>,
-    trace: &Option<String>,
-    metrics_json: bool,
-    obs: Option<&str>,
-    trace_out: Option<&str>,
-) -> Result<String, String> {
-    let want = trace.is_some() || metrics_json || obs.is_some() || trace_out.is_some();
-    let mut sink = MemorySink::new();
-    let mut disk = cache.map(DiskCache::load);
-
-    let entries = if corpus {
-        fearless_corpus::all_entries()
-    } else {
-        Vec::new()
+        } => bench::bench_diff(old, new, *threshold_pct, *json),
+        Command::StripNondet { path } => bench::strip_nondet(path),
+        Command::Flow(flow) => flow.execute(src),
+        Command::Profile(profile) => profile.execute(src),
+        Command::Chaos(chaos) => chaos.execute(src),
+        Command::Synth { options, out } => synth::synth(options, out.as_deref()),
+        Command::Serve(serve) => serve.execute(),
+        Command::ServeBench(bench) => bench.execute(),
+        Command::Client(client) => client.execute(src),
     };
-    let units: Vec<(String, fearless_syntax::Program)> = if corpus {
-        let mut units = Vec::with_capacity(entries.len());
-        for entry in &entries {
-            let program = fearless_syntax::parse_program(&entry.source)
-                .map_err(|e| format!("corpus `{}`: {}", entry.name, e.message()))?;
-            units.push((entry.name.to_string(), program));
-        }
-        units
-    } else {
-        let program = fearless_syntax::parse_program(src).map_err(|e| {
-            fearless_core::TypeError::new(e.message().to_string(), e.span()).render(src)
-        })?;
-        vec![(String::new(), program)]
-    };
-
-    let run = {
-        let mut tracer = if want {
-            Tracer::new(&mut sink)
-        } else {
-            Tracer::off()
-        };
-        fearless_incr::check_units(&units, opts, jobs, disk.as_mut(), &mut tracer)
-    };
-    // Persist even when the check fails: error outcomes replay too.
-    save_cache(&disk)?;
-
-    let mut out = String::new();
-    if corpus {
-        for (report, entry) in run.units.iter().zip(&entries) {
-            match (entry.accepted, report.first_error()) {
-                (true, None) => {
-                    let _ = writeln!(
-                        out,
-                        "{}: ok ({} function(s), {} nodes, {} vir)",
-                        entry.name,
-                        report.functions.len(),
-                        report.total_nodes(),
-                        report.total_vir_steps()
-                    );
-                }
-                (false, Some(_)) => {
-                    let _ = writeln!(out, "{}: rejected (expected)", entry.name);
-                }
-                (true, Some(e)) => {
-                    return Err(format!(
-                        "corpus `{}`: unexpected type error: {e}",
-                        entry.name
-                    ))
-                }
-                (false, None) => {
-                    return Err(format!(
-                        "corpus `{}`: checked but should have been rejected",
-                        entry.name
-                    ))
-                }
-            }
-        }
-        let _ = writeln!(out, "corpus: {} entries checked", run.units.len());
-    } else {
-        if let Some(e) = run.units[0].first_error() {
-            return Err(e.render(src));
-        }
-        let _ = writeln!(
-            out,
-            "ok: {} function(s), {} derivation nodes, {} virtual transformations",
-            run.units[0].functions.len(),
-            run.units[0].total_nodes(),
-            run.units[0].total_vir_steps()
-        );
-    }
-    // Cache warmth is allowed to show here (and only here): CI's
-    // cold/warm byte-diff strips `cache:`-prefixed lines.
-    if cache.is_some() {
-        let _ = writeln!(out, "{}", render_cache_line(&run.stats));
-    }
-    if let Some(path) = obs {
-        let journal = fearless_obs::Journal::from_check_sink(&sink);
-        std::fs::write(path, journal.render())
-            .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
-    }
-    if let Some(path) = trace_out {
-        let doc = fearless_obs::perfetto::document(fearless_obs::perfetto::check_events(&sink));
-        std::fs::write(path, doc.render())
-            .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-    }
-    finish_trace(&sink, trace.as_deref(), metrics_json, out)
-}
-
-/// Default fuzz case count when neither `--cases` nor
-/// `FEARLESS_FUZZ_CASES` is given.
-const DEFAULT_FUZZ_CASES: u64 = 2_000;
-
-/// Runs `fearlessc chaos`: the fault-injection layer's three drills.
-/// Any oracle violation, escaped panic, or report divergence is an
-/// `Err` (exit status 1) carrying the full report.
-#[allow(clippy::too_many_arguments)]
-fn chaos_command(
-    src: &str,
-    mode: ChaosMode,
-    corpus: bool,
-    opts: &ChaosOptions,
-    json: bool,
-    cases: Option<u64>,
-    seed: u64,
-    dir: Option<&str>,
-    out: Option<&str>,
-    watchdog: u64,
-) -> Result<String, String> {
-    match mode {
-        ChaosMode::Schedules => {
-            let report = if corpus {
-                fearless_chaos::run_chaos(opts)
-            } else {
-                fearless_chaos::run_source_chaos(src, opts)?
-            };
-            let out = if json {
-                let mut j = report.to_json();
-                j.push('\n');
-                j
-            } else {
-                report.render_text()
-            };
-            if report.ok() {
-                Ok(out)
-            } else {
-                Err(out)
-            }
-        }
-        ChaosMode::Fuzz => {
-            let cases = cases
-                .or_else(|| {
-                    std::env::var("FEARLESS_FUZZ_CASES")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                })
-                .unwrap_or(DEFAULT_FUZZ_CASES);
-            let report = fearless_chaos::run_fuzz(cases, seed);
-            let mut out = format!(
-                "fuzz: {} case(s) from seed {seed}: {} parse reject(s), {} check reject(s), {} \
-                 ran\n",
-                report.cases, report.parse_rejects, report.check_rejects, report.ran
-            );
-            if report.ok() {
-                out.push_str("fuzz: no panic escaped the pipeline\n");
-                Ok(out)
-            } else {
-                for (s, stage) in &report.panics {
-                    let _ = writeln!(out, "internal error: seed {s}: {stage}");
-                }
-                Err(out)
-            }
-        }
-        ChaosMode::Drills => {
-            let dir = dir.map(std::path::PathBuf::from).unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("fearless-chaos-drills-{}", std::process::id()))
-            });
-            let units = fearless_chaos::cache_chaos::corpus_units();
-            let outcomes = fearless_chaos::run_cache_drills(&dir, &units, seed)?;
-            let mut out = String::new();
-            let mut failed = 0usize;
-            let mut recovered = 0usize;
-            for o in &outcomes {
-                recovered += usize::from(o.recovered);
-                failed += usize::from(!o.ok());
-                let _ = writeln!(
-                    out,
-                    "drill {:<16} {:<12} {:<32} {}",
-                    o.document,
-                    o.class,
-                    match o.reason {
-                        Some(r) => format!("recovered ({r})"),
-                        None => "loaded clean".to_string(),
-                    },
-                    if !o.reports_match {
-                        "REPORTS DIVERGED FROM COLD RUN"
-                    } else if o.ok() {
-                        "reports byte-identical to cold"
-                    } else {
-                        "CORRUPTION WENT UNDETECTED"
-                    }
-                );
-            }
-            // The two-process drill: racing save/load cycles must never
-            // surface a recovery (the advisory lock + atomic rename +
-            // checksum contract).
-            let concurrency =
-                fearless_chaos::run_concurrency_drill(&dir.join("concurrent"), &units, 4, 3)?;
-            let concurrency_ok = concurrency.recoveries == 0 && concurrency.final_warm;
-            failed += usize::from(!concurrency_ok);
-            let _ = writeln!(
-                out,
-                "drill {:<16} {:<12} {:<32} {}",
-                fearless_incr::disk::CACHE_FILE,
-                "concurrent",
-                format!(
-                    "{} writer(s) × {} round(s)",
-                    concurrency.writers, concurrency.rounds
-                ),
-                if concurrency_ok {
-                    "no torn loads, final document warm"
-                } else {
-                    "A RACING LOADER SAW A TORN DOCUMENT"
-                }
-            );
-            let _ = writeln!(
-                out,
-                "drills: {} class(es) × 2 documents + concurrency, {recovered} recover(ies), seed \
-                 {seed}",
-                outcomes.len() / 2
-            );
-            if failed == 0 {
-                Ok(out)
-            } else {
-                Err(out)
-            }
-        }
-        ChaosMode::Serve => {
-            let dir = dir.map(std::path::PathBuf::from).unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("fearless-wire-chaos-{}", std::process::id()))
-            });
-            // opts.seeds is the *count*; the actual drill seeds are
-            // seed, seed+1, … so `--seed` shifts the whole sweep.
-            let seed_list: Vec<u64> = (0..opts.seeds.max(1))
-                .map(|i| seed.wrapping_add(i))
-                .collect();
-            let report = fearless_chaos::run_wire_drills(&dir, &seed_list, watchdog)?;
-            if let Some(path) = out {
-                std::fs::write(path, report.to_json())
-                    .map_err(|e| format!("cannot write bench document `{path}`: {e}"))?;
-            }
-            if json {
-                Ok(report.to_json())
-            } else {
-                Ok(report.render())
-            }
-        }
-    }
-}
-
-/// Writes the runtime event journal and/or Perfetto trace for one
-/// completed machine execution (no-op when neither path is requested).
-fn write_run_obs(
-    sink: &MemorySink,
-    lanes: &[fearless_runtime::LaneStats],
-    stats: &fearless_runtime::Stats,
-    obs: Option<&str>,
-    trace_out: Option<&str>,
-) -> Result<(), String> {
-    if let Some(path) = obs {
-        let journal = fearless_obs::Journal::from_run(sink, lanes, stats);
-        std::fs::write(path, journal.render())
-            .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
-    }
-    if let Some(path) = trace_out {
-        let mut events = fearless_obs::perfetto::check_events(sink);
-        events.extend(fearless_obs::perfetto::run_events(sink, lanes));
-        let doc = fearless_obs::perfetto::document(events);
-        std::fs::write(path, doc.render())
-            .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Runs `fearlessc report`: execute a program (file mode) or the chaos
-/// scenario corpus, then render the per-machine telemetry lanes as a
-/// top-style table or machine JSON (`fearless-obs-report/1`).
-#[allow(clippy::too_many_arguments)]
-fn report_command(
-    src: &str,
-    corpus: bool,
-    entry: Option<&str>,
-    args: &[i64],
-    sanitize: bool,
-    flow_facts: bool,
-    json: bool,
-    obs: Option<&str>,
-    trace_out: Option<&str>,
-) -> Result<String, String> {
-    if corpus {
-        return report_corpus(json, obs, trace_out);
-    }
-    let entry = entry.ok_or("report <file> requires --entry <fn>")?;
-    fearless_core::check_source(src, &CheckerOptions::default()).map_err(|e| e.render(src))?;
-    let program = fearless_syntax::parse_program(src).map_err(|e| e.render(src))?;
-    let config = MachineConfig {
-        sanitize_domination: sanitize,
-        ..MachineConfig::default()
-    };
-    let mut machine = Machine::with_config(&program, config).map_err(|e| e.to_string())?;
-    if flow_facts {
-        let compiled = fearless_runtime::compile(&program).map_err(|e| e.to_string())?;
-        machine.set_flow_index(fearless_flow::analyze_compiled(&compiled).index());
-    }
-    machine.set_trace_sink(Box::new(MemorySink::new()));
-    let values = args.iter().map(|&n| Value::Int(n)).collect();
-    machine.call(entry, values).map_err(|e| e.to_string())?;
-    let sink = *machine
-        .take_trace_sink()
-        .expect("sink installed above")
-        .into_any()
-        .downcast::<MemorySink>()
-        .expect("sink is a MemorySink");
-    write_run_obs(&sink, machine.lanes(), machine.stats(), obs, trace_out)?;
-    if json {
-        Ok(fearless_obs::report_json(entry, machine.stats(), machine.lanes()).render())
-    } else {
-        Ok(fearless_obs::render_report(
-            entry,
-            machine.stats(),
-            machine.lanes(),
-        ))
-    }
-}
-
-/// `fearlessc report --corpus`: every chaos scenario under the default
-/// deterministic round-robin schedule, with flow-amortized sanitizing
-/// wherever the scenario admits the sanitizer oracle — so the lanes
-/// show real mailbox depth, residence, and sanitizer cost attribution.
-fn report_corpus(json: bool, obs: Option<&str>, trace_out: Option<&str>) -> Result<String, String> {
-    let mut out = String::new();
-    let mut json_entries = Vec::new();
-    let mut journal_entries = Vec::new();
-    let mut trace_events = Vec::new();
-    for (i, scenario) in fearless_chaos::all_scenarios().iter().enumerate() {
-        let config = MachineConfig {
-            check_reservations: true,
-            strategy: fearless_runtime::DisconnectStrategy::Differential,
-            sanitize_domination: scenario.sanitize,
-            ..MachineConfig::default()
-        };
-        let mut machine = Machine::from_compiled(scenario.program.clone(), config);
-        machine.set_flow_index(fearless_flow::analyze_compiled(&scenario.program).index());
-        machine.set_trace_sink(Box::new(MemorySink::new()));
-        for sp in &scenario.spawns {
-            machine
-                .spawn(&sp.func, sp.values())
-                .map_err(|e| format!("scenario `{}`: spawn {}: {e}", scenario.name, sp.func))?;
-        }
-        machine
-            .run()
-            .map_err(|e| format!("scenario `{}`: {e}", scenario.name))?;
-        let sink = *machine
-            .take_trace_sink()
-            .expect("sink installed above")
-            .into_any()
-            .downcast::<MemorySink>()
-            .expect("sink is a MemorySink");
-        let stats = machine.stats();
-        let lanes = machine.lanes();
-        if json {
-            json_entries.push(Json::obj([
-                ("name", Json::str(scenario.name)),
-                (
-                    "report",
-                    fearless_obs::report_json(scenario.name, stats, lanes),
-                ),
-            ]));
-        } else {
-            out.push_str(&fearless_obs::render_report(scenario.name, stats, lanes));
-            out.push('\n');
-        }
-        if obs.is_some() {
-            let journal = fearless_obs::Journal::from_run(&sink, lanes, stats);
-            journal_entries.push(Json::obj([
-                ("name", Json::str(scenario.name)),
-                ("journal", journal.to_json_value()),
-            ]));
-        }
-        if trace_out.is_some() {
-            trace_events.extend(fearless_obs::perfetto::run_events_pid(
-                &sink,
-                lanes,
-                2 + i as u64,
-                scenario.name,
-            ));
-        }
-    }
-    if let Some(path) = obs {
-        let doc = Json::obj([
-            ("schema", Json::str("fearless-obs-corpus/1")),
-            ("entries", Json::Arr(journal_entries)),
-        ]);
-        std::fs::write(path, doc.render())
-            .map_err(|e| format!("cannot write journal `{path}`: {e}"))?;
-    }
-    if let Some(path) = trace_out {
-        let doc = fearless_obs::perfetto::document(trace_events);
-        std::fs::write(path, doc.render())
-            .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-    }
-    if json {
-        Ok(Json::obj([
-            ("schema", Json::str("fearless-obs-report-corpus/1")),
-            ("entries", Json::Arr(json_entries)),
-        ])
-        .render())
-    } else {
-        Ok(out)
-    }
-}
-
-/// Runs `fearlessc bench-diff`: compare two BENCH_*.json counter
-/// documents. A regression beyond the threshold renders the report as
-/// the error (exit status 1) — the CI gate.
-fn bench_diff_command(
-    old_text: &str,
-    new_text: &str,
-    threshold_pct: u64,
-    json: bool,
-) -> Result<String, String> {
-    let old = fearless_incr::parse_json(old_text).ok_or("old document is not valid JSON")?;
-    let new = fearless_incr::parse_json(new_text).ok_or("new document is not valid JSON")?;
-    let report = fearless_obs::bench_diff(&old, &new, threshold_pct);
-    let out = if json {
-        report.to_json_value().render()
-    } else {
-        report.render()
-    };
-    if report.has_regressions() {
-        Err(out)
-    } else {
-        Ok(out)
-    }
-}
-
-/// Runs `fearlessc strip-nondet`: print the document with every
-/// `_nondet`-tagged field removed.
-fn strip_nondet_command(text: &str) -> Result<String, String> {
-    let doc = fearless_incr::parse_json(text).ok_or("input is not valid JSON")?;
-    Ok(fearless_obs::strip_nondet(&doc).render())
-}
-
-/// Runs `fearlessc flow`: check, compile, classify, and print the
-/// per-function step-safety summaries as deterministic JSON. With
-/// `--cache <dir>`, per-function summaries replay from `<dir>/flow.json`
-/// keyed by the checker's function fingerprints — warm and cold runs
-/// print byte-identical documents.
-fn flow_command(src: &str, corpus: bool, cache: Option<&str>) -> Result<String, String> {
-    let mut disk = cache.map(FlowCache::load);
-    let opts = CheckerOptions::default();
-    let flow_of = |src: &str, disk: &mut Option<FlowCache>| -> Result<ProgramFlow, String> {
-        let checked = fearless_core::check_source(src, &opts).map_err(|e| e.render(src))?;
-        match disk {
-            Some(c) => {
-                fearless_flow::analyze_checked_cached(&checked, c).map_err(|e| e.to_string())
-            }
-            None => fearless_flow::analyze_checked(&checked).map_err(|e| e.to_string()),
-        }
-    };
-    let mut out = if corpus {
-        let mut entries = Vec::new();
-        for entry in fearless_corpus::accepted_entries() {
-            let flow = flow_of(&entry.source, &mut disk)
-                .map_err(|e| format!("corpus `{}`: {e}", entry.name))?;
-            entries.push(Json::obj([
-                ("name", Json::str(entry.name)),
-                ("flow", flow.to_json_value()),
-            ]));
-        }
-        Json::obj([
-            ("schema", Json::str(fearless_flow::CORPUS_SCHEMA)),
-            ("entries", Json::Arr(entries)),
-        ])
-        .render()
-    } else {
-        flow_of(src, &mut disk)?.to_json()
-    };
-    out.push('\n');
-    if let Some(c) = &disk {
-        c.save()?;
-    }
-    Ok(out)
-}
-
-fn save_cache(disk: &Option<DiskCache>) -> Result<(), String> {
-    match disk {
-        Some(d) => d.save(),
-        None => Ok(()),
-    }
-}
-
-fn render_cache_line(stats: &CacheStats) -> String {
-    let mut line = format!(
-        "cache: {} hit(s), {} miss(es), {} invalidation(s)",
-        stats.hits, stats.misses, stats.invalidations
-    );
-    // Recoveries are rare (a corrupt on-disk document degraded to a cold
-    // start); keep the common-path line unchanged.
-    if stats.recoveries > 0 {
-        let _ = write!(line, ", {} recovery(ies)", stats.recoveries);
-    }
-    line
-}
-
-/// Parses and checks `src` with a fresh [`MemorySink`] attached, producing
-/// one `parse` span and one `check` span per function. With a cache the
-/// check runs through the incremental driver (cache traffic accumulates
-/// into `stats`); without one it runs the plain traced checker.
-fn profile_source(
-    src: &str,
-    label: &str,
-    disk: Option<&mut DiskCache>,
-    stats: &mut CacheStats,
-) -> Result<MemorySink, String> {
-    let mut sink = MemorySink::new();
-    sink.span_enter("parse", "program");
-    let parsed = fearless_syntax::parse_program(src).map_err(|e| e.render(src));
-    sink.span_exit();
-    let program = parsed?;
-    match disk {
-        None => {
-            fearless_core::check_program_traced(
-                &program,
-                &CheckerOptions::default(),
-                &mut Tracer::new(&mut sink),
-            )
-            .map_err(|e| e.render(src))?;
-        }
-        Some(d) => {
-            let units = vec![(label.to_string(), program)];
-            let run = fearless_incr::check_units(
-                &units,
-                &CheckerOptions::default(),
-                1,
-                Some(d),
-                &mut Tracer::new(&mut sink),
-            );
-            if let Some(e) = run.units[0].first_error() {
-                return Err(e.render(src));
-            }
-            stats.absorb(&run.stats);
-        }
-    }
-    Ok(sink)
-}
-
-/// Renders the per-span counter table for `fearlessc profile`. Without
-/// `--wall-time` the output is fully deterministic.
-fn render_profile(sink: &MemorySink, label: &str, wall_time: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "profile: {label}");
-    let mut header = format!(
-        "{:<7} {:<24} {:>7} {:>7} {:>9} {:>8} {:>8} {:>7}",
-        "phase", "name", "nodes", "vir", "oracle", "search", "backtrk", "live"
-    );
-    if wall_time {
-        let _ = write!(header, " {:>10}", "time");
-    }
-    let _ = writeln!(out, "{header}");
-    let row = |phase: &str, name: &str, get: &dyn Fn(&str) -> u64, nanos: Option<u128>| -> String {
-        let oracle = format!(
-            "{}/{}",
-            get("check.oracle_hits"),
-            get("check.oracle_queries")
-        );
-        let mut line = format!(
-            "{:<7} {:<24} {:>7} {:>7} {:>9} {:>8} {:>8} {:>7}",
-            phase,
-            name,
-            get("check.deriv_nodes"),
-            get("check.vir_steps"),
-            oracle,
-            get("search.nodes"),
-            get("search.backtracks"),
-            get("check.liveness_queries"),
-        );
-        if wall_time {
-            match nanos {
-                Some(n) => {
-                    let _ = write!(line, " {:>8.3}ms", n as f64 / 1.0e6);
-                }
-                None => {
-                    let _ = write!(line, " {:>10}", "");
-                }
-            }
-        }
-        line
-    };
-    for m in sink.spans() {
-        // The cache summary span has its own trailing line; its counters
-        // would render as an all-zero table row here.
-        if m.phase == "cache" {
-            continue;
-        }
-        let get = |k: &str| m.counters.get(k).copied().unwrap_or(0);
-        let _ = writeln!(out, "{}", row(&m.phase, &m.name, &get, Some(m.nanos)));
-    }
-    let totals = sink.totals();
-    let get = |k: &str| totals.get(k).copied().unwrap_or(0);
-    let _ = writeln!(out, "{}", row("total", "", &get, None));
-    out
-}
-
-/// Profiles every accepted corpus entry (`fearlessc profile --corpus`).
-fn profile_corpus(
-    wall_time: bool,
-    metrics_json: bool,
-    cache: Option<&str>,
-) -> Result<String, String> {
-    let mut disk = cache.map(DiskCache::load);
-    let mut stats = CacheStats::default();
-    let mut sections = Vec::new();
-    for entry in fearless_corpus::accepted_entries() {
-        let sink = profile_source(&entry.source, entry.name, disk.as_mut(), &mut stats)
-            .map_err(|e| format!("corpus `{}`: {e}", entry.name))?;
-        sections.push((entry.name, sink));
-    }
-    save_cache(&disk)?;
-    if metrics_json {
-        let entries = sections
-            .iter()
-            .map(|(name, sink)| {
-                Json::obj([
-                    ("name", Json::str(*name)),
-                    ("trace", sink.to_json_value_opts(wall_time)),
-                ])
-            })
-            .collect();
-        Ok(Json::obj([
-            ("schema", Json::str("fearless-trace/corpus/1")),
-            ("entries", Json::Arr(entries)),
-        ])
-        .render())
-    } else {
-        let mut out = String::new();
-        for (name, sink) in &sections {
-            out.push_str(&render_profile(sink, name, wall_time));
-            out.push('\n');
-        }
-        if cache.is_some() {
-            let _ = writeln!(out, "{}", render_cache_line(&stats));
-        }
-        Ok(out)
-    }
+    let code = i32::from(result.is_err());
+    (result, code)
 }
 
 /// Full driver: parse args, load the file, execute.
@@ -2203,46 +347,12 @@ pub fn main_with_code(args: &[String]) -> (Result<String, String>, i32) {
         Ok(c) => c,
         Err(e) => return (Err(e), 1),
     };
-    match &cmd {
-        Command::Help
-        | Command::Table1
-        | Command::Profile { path: None, .. }
-        | Command::Chaos { path: None, .. }
-        | Command::Flow { path: None, .. }
-        | Command::Check { path: None, .. }
-        | Command::Report { path: None, .. }
-        | Command::BenchDiff { .. }
-        | Command::StripNondet { .. }
-        | Command::Serve { .. }
-        | Command::ServeBench { .. }
-        | Command::Client { path: None, .. }
-        | Command::Synth { .. } => execute_on_source_with_code(&cmd, ""),
-        Command::Verify { path }
-        | Command::Lint { path, .. }
-        | Command::Explain { path, .. }
-        | Command::Run { path, .. }
-        | Command::Check {
-            path: Some(path), ..
-        }
-        | Command::Profile {
-            path: Some(path), ..
-        }
-        | Command::Flow {
-            path: Some(path), ..
-        }
-        | Command::Chaos {
-            path: Some(path), ..
-        }
-        | Command::Report {
-            path: Some(path), ..
-        }
-        | Command::Client {
-            path: Some(path), ..
-        } => match load_source(path) {
-            Ok(src) => execute_on_source_with_code(&cmd, &src),
-            Err((msg, code)) => (Err(msg), code),
-        },
-    }
+    let src = match cmd.source_path().map(load_source) {
+        None => String::new(),
+        Some(Ok(src)) => src,
+        Some(Err((msg, code))) => return (Err(msg), code),
+    };
+    execute_on_source_with_code(&cmd, &src)
 }
 
 /// Reads an input file (`-` reads stdin, so `fearlessc synth | fearlessc
@@ -2315,8 +425,11 @@ pub fn main_guarded(args: &[String]) -> (Result<String, String>, i32) {
 }
 
 #[cfg(test)]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use args::{Args, COMMANDS};
+    use fearless_core::CheckerMode;
 
     fn s(items: &[&str]) -> Vec<String> {
         items.iter().map(|x| x.to_string()).collect()
@@ -2327,6 +440,36 @@ mod tests {
         def double(n : int) : int { n * 2 }
         def make(v : int) : data { new data(v) }
     ";
+
+    fn check_of(input: Input, jobs: usize, cache: Option<String>, telemetry: Telemetry) -> Command {
+        Command::Check(Check {
+            input,
+            mode: CheckerMode::Tempered,
+            no_oracle: false,
+            jobs,
+            cache,
+            telemetry,
+        })
+    }
+
+    fn metrics() -> Telemetry {
+        Telemetry {
+            metrics_json: true,
+            ..Telemetry::default()
+        }
+    }
+
+    fn run_of(entry: &str, args: Vec<i64>, sanitize: bool, flow_facts: bool) -> Run {
+        Run {
+            path: String::new(),
+            entry: entry.into(),
+            args,
+            unchecked: false,
+            sanitize,
+            flow_facts,
+            telemetry: Telemetry::default(),
+        }
+    }
 
     #[test]
     fn parses_check_flags() {
@@ -2344,18 +487,19 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Check {
-                path: Some("f.fc".into()),
-                corpus: false,
+            Command::Check(Check {
+                input: Input::File("f.fc".into()),
                 mode: CheckerMode::GlobalDomination,
                 no_oracle: true,
                 jobs: 1,
                 cache: None,
-                trace: Some("t.json".into()),
-                metrics_json: true,
-                obs: None,
-                trace_out: None,
-            }
+                telemetry: Telemetry {
+                    trace: Some("t.json".into()),
+                    metrics_json: true,
+                    obs: None,
+                    trace_out: None,
+                },
+            })
         );
     }
 
@@ -2367,18 +511,14 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Check {
-                path: None,
-                corpus: true,
+            Command::Check(Check {
+                input: Input::Corpus,
                 mode: CheckerMode::Tempered,
                 no_oracle: false,
                 jobs: 4,
                 cache: Some("/tmp/c".into()),
-                trace: None,
-                metrics_json: false,
-                obs: None,
-                trace_out: None,
-            }
+                telemetry: Telemetry::default(),
+            })
         );
     }
 
@@ -2405,18 +545,15 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Run {
+            Command::Run(Run {
                 path: "f.fc".into(),
                 entry: "main".into(),
                 args: vec![3],
                 unchecked: false,
                 sanitize: true,
                 flow_facts: false,
-                trace: None,
-                metrics_json: false,
-                obs: None,
-                trace_out: None,
-            }
+                telemetry: Telemetry::default(),
+            })
         );
     }
 
@@ -2425,11 +562,10 @@ mod tests {
         let cmd = parse_args(&s(&["flow", "f.fc", "--cache", "/tmp/c"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Flow {
-                path: Some("f.fc".into()),
-                corpus: false,
+            Command::Flow(Flow {
+                input: Input::File("f.fc".into()),
                 cache: Some("/tmp/c".into())
-            }
+            })
         );
         assert!(parse_args(&s(&["flow"])).is_err());
         assert!(parse_args(&s(&["flow", "f.fc", "--corpus"])).is_err());
@@ -2439,13 +575,9 @@ mod tests {
     fn parses_chaos_flow_flags() {
         let cmd = parse_args(&s(&["chaos", "--corpus", "--crosscheck"])).unwrap();
         match cmd {
-            Command::Chaos {
-                flow_facts,
-                crosscheck,
-                ..
-            } => {
-                assert!(flow_facts, "--crosscheck implies --flow-facts");
-                assert!(crosscheck);
+            Command::Chaos(Chaos::Schedules { options, .. }) => {
+                assert!(options.flow_facts, "--crosscheck implies --flow-facts");
+                assert!(options.crosscheck);
             }
             other => panic!("{other:?}"),
         }
@@ -2456,14 +588,13 @@ mod tests {
         let cmd = parse_args(&s(&["lint", "f.fc", "--format", "json", "--deny-warnings"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Lint {
+            Command::Lint(Lint {
                 path: "f.fc".into(),
                 mode: CheckerMode::Tempered,
                 format: LintFormat::Json,
                 deny_warnings: true,
-                trace: None,
-                metrics_json: false,
-            }
+                telemetry: Telemetry::default(),
+            })
         );
     }
 
@@ -2472,13 +603,12 @@ mod tests {
         let cmd = parse_args(&s(&["profile", "--corpus", "--wall-time"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Profile {
-                path: None,
-                corpus: true,
+            Command::Profile(Profile {
+                input: Input::Corpus,
                 wall_time: true,
-                metrics_json: false,
-                cache: None
-            }
+                cache: None,
+                telemetry: Telemetry::default(),
+            })
         );
         let cmd = parse_args(&s(&[
             "profile",
@@ -2491,13 +621,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Profile {
-                path: Some("f.fc".into()),
-                corpus: false,
+            Command::Profile(Profile {
+                input: Input::File("f.fc".into()),
                 wall_time: false,
-                metrics_json: true,
-                cache: Some("/tmp/c".into())
-            }
+                cache: Some("/tmp/c".into()),
+                telemetry: metrics(),
+            })
         );
     }
 
@@ -2518,37 +647,429 @@ mod tests {
         assert!(parse_args(&s(&["frobnicate"])).is_err());
     }
 
-    fn check_cmd() -> Command {
-        Command::Check {
-            path: Some(String::new()),
-            corpus: false,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 1,
-            cache: None,
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
+    /// A `--` token a command does not accept is an error naming it,
+    /// never a file name (nor a silently ignored flag).
+    #[test]
+    fn rejects_flags_a_command_does_not_accept() {
+        for (line, bad) in [
+            (&["check", "--corpsu"][..], "--corpsu"),
+            (&["check", "f.fc", "--corpsu"], "--corpsu"),
+            (&["lint", "f.fc", "--jobs", "2"], "--jobs"),
+            (
+                &["run", "f.fc", "--entry", "main", "--entyr", "x"],
+                "--entyr",
+            ),
+            (&["explain", "f.fc", "--fn", "f", "--func"], "--func"),
+            (&["flow", "--cahce", "d"], "--cahce"),
+            (&["profile", "f.fc", "--trace", "t.json"], "--trace"),
+            (
+                &["client", "ping", "--socket", "s", "--sockt", "t"],
+                "--sockt",
+            ),
+            (&["chaos", "fuzz", "--crosscheck"], "--crosscheck"),
+            (&["chaos", "--corpus", "--watchdog", "5"], "--watchdog"),
+            (&["chaos", "drills", "--cases", "3"], "--cases"),
+            (&["chaos", "serve", "--faults", "all"], "--faults"),
+        ] {
+            let err = parse_args(&s(line)).unwrap_err();
+            assert_eq!(err, format!("unexpected argument `{bad}`"), "{line:?}");
         }
+    }
+
+    /// `-` is an operand (stdin) for every file-taking command.
+    #[test]
+    fn dash_is_stdin_everywhere() {
+        let cmd = parse_args(&s(&["report", "-", "--entry", "main"])).unwrap();
+        assert_eq!(
+            cmd,
+            Command::Report(Report {
+                source: ReportSource::Program {
+                    path: "-".into(),
+                    entry: "main".into(),
+                    args: Vec::new(),
+                },
+                sanitize: false,
+                flow_facts: false,
+                json: false,
+                telemetry: Telemetry::default(),
+            })
+        );
+        assert_eq!(cmd.source_path(), Some("-"));
+        let cmd = parse_args(&s(&["chaos", "-", "--seeds", "2"])).unwrap();
+        assert_eq!(cmd.source_path(), Some("-"));
+        for line in [
+            &["check", "-"][..],
+            &["verify", "-"],
+            &["lint", "-"],
+            &["run", "-", "--entry", "main"],
+            &["flow", "-"],
+            &["profile", "-"],
+            &["explain", "-", "--fn", "f"],
+            &["client", "check", "-", "--socket", "s"],
+        ] {
+            let cmd = parse_args(&s(line)).unwrap();
+            assert_eq!(cmd.source_path(), Some("-"), "{line:?}");
+        }
+    }
+
+    /// Each synopsis line of `USAGE` (the `chaos` sub-modes included)
+    /// lists exactly the flags the table accepts for that command, and
+    /// each listed flag parses for it.
+    #[test]
+    fn usage_synopsis_matches_the_flag_table() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .unwrap();
+        let mut listed: Vec<(String, std::collections::BTreeSet<String>)> = Vec::new();
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("fearlessc ") {
+                let mut words = rest.split_whitespace();
+                let name = words.next().unwrap();
+                let name = match words.next() {
+                    Some(sub) if COMMANDS.iter().any(|c| c.0 == format!("{name} {sub}")) => {
+                        format!("{name} {sub}")
+                    }
+                    _ => name.to_string(),
+                };
+                listed.push((name, Default::default()));
+            }
+            let flags = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"));
+            listed.last_mut().unwrap().1.extend(flags.map(String::from));
+        }
+        let names: Vec<&str> = listed.iter().map(|(n, _)| n.as_str()).collect();
+        for (name, _, _) in COMMANDS {
+            assert!(names.contains(name), "`{name}` has no USAGE line");
+        }
+        for (name, usage_flags) in &listed {
+            let Some((_, flags, _)) = COMMANDS.iter().find(|c| c.0 == name) else {
+                assert_eq!(name, "table1", "USAGE lists an unknown command");
+                continue;
+            };
+            let table: std::collections::BTreeSet<String> =
+                flags.iter().map(|f| f.name.to_string()).collect();
+            assert_eq!(&table, usage_flags, "`{name}`: table vs USAGE");
+            for flag in *flags {
+                let mut line = vec![flag.name.to_string()];
+                if flag.value.is_some() {
+                    line.push("1".to_string());
+                }
+                let parsed = Args::parse(&line, flags).unwrap();
+                assert!(parsed.on(*flag), "`{name} {}` does not parse", flag.name);
+            }
+        }
+    }
+
+    #[test]
+    fn parses_serve_and_serve_bench() {
+        let cmd = parse_args(&s(&[
+            "serve",
+            "--socket",
+            "s.sock",
+            "--workers",
+            "0",
+            "--queue",
+            "4",
+            "--cache",
+            "d",
+            "--retry-after",
+            "7",
+            "--once",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Serve(Serve {
+                options: fearless_serve::ServeOptions {
+                    workers: 1,
+                    queue_capacity: 4,
+                    cache_dir: Some("d".into()),
+                    retry_after_millis: 7,
+                    ..fearless_serve::ServeOptions::new("s.sock")
+                },
+                once: true,
+            })
+        );
+        let defaults = fearless_serve::ServeOptions::new("s");
+        assert_eq!(
+            (
+                defaults.workers,
+                defaults.queue_capacity,
+                defaults.retry_after_millis
+            ),
+            (2, 16, 25)
+        );
+        assert_eq!(
+            parse_args(&s(&["serve", "--socket", "s"])).unwrap(),
+            Command::Serve(Serve {
+                options: defaults,
+                once: false,
+            })
+        );
+        assert!(parse_args(&s(&["serve"])).is_err());
+        let cmd = parse_args(&s(&[
+            "serve-bench",
+            "--socket",
+            "s",
+            "--clients",
+            "2",
+            "--requests",
+            "0",
+            "--bodies",
+            "3",
+            "--seed",
+            "9",
+            "--shed-extra",
+            "0",
+            "--obs",
+            "j.json",
+            "--out",
+            "b.json",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::ServeBench(ServeBench {
+                options: fearless_serve::BenchOptions {
+                    clients: 2,
+                    requests: 1,
+                    bodies: 3,
+                    seed: 9,
+                    shed_extra: 0,
+                    ..fearless_serve::BenchOptions::new("s")
+                },
+                obs: Some("j.json".into()),
+                out: Some("b.json".into()),
+            })
+        );
+        let defaults = fearless_serve::BenchOptions::new("s");
+        assert_eq!(
+            (
+                defaults.clients,
+                defaults.requests,
+                defaults.bodies,
+                defaults.seed,
+                defaults.shed_extra
+            ),
+            (4, 6, 6, 42, 4)
+        );
+        assert!(parse_args(&s(&["serve-bench", "--clients", "2"])).is_err());
+    }
+
+    #[test]
+    fn parses_client_synth_and_bench_diff() {
+        let cmd = parse_args(&s(&[
+            "client",
+            "check",
+            "f.fc",
+            "--socket",
+            "s",
+            "--deadline",
+            "50",
+            "--retries",
+            "3",
+            "--stale-ok",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Client(Client {
+                socket: "s".into(),
+                kind: "check".into(),
+                path: Some("f.fc".into()),
+                deadline: Some(50),
+                retries: Some(3),
+                stale_ok: true,
+            })
+        );
+        assert_eq!(cmd.source_path(), Some("f.fc"));
+        let ping = parse_args(&s(&["client", "ping", "--socket", "s"])).unwrap();
+        assert_eq!(ping.source_path(), None);
+        assert!(parse_args(&s(&["client", "a", "b", "c", "--socket", "s"])).is_err());
+
+        let cmd = parse_args(&s(&[
+            "synth",
+            "--seed",
+            "42",
+            "--functions",
+            "1000",
+            "--boxes",
+            "3",
+            "--max-ops",
+            "5",
+            "--window",
+            "6",
+            "--out",
+            "p.fc",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Synth {
+                options: SynthOptions {
+                    seed: 42,
+                    functions: 1000,
+                    boxes: 3,
+                    max_ops: 5,
+                    window: 6,
+                },
+                out: Some("p.fc".into()),
+            }
+        );
+        assert_eq!(
+            parse_args(&s(&["synth"])).unwrap(),
+            Command::Synth {
+                options: SynthOptions::default(),
+                out: None,
+            }
+        );
+
+        let cmd = parse_args(&s(&[
+            "bench-diff",
+            "a.json",
+            "-",
+            "--threshold",
+            "5",
+            "--json",
+        ]));
+        assert_eq!(
+            cmd.unwrap(),
+            Command::BenchDiff {
+                old: "a.json".into(),
+                new: "-".into(),
+                threshold_pct: 5,
+                json: true,
+            }
+        );
+        assert!(parse_args(&s(&["bench-diff", "a.json"])).is_err());
+    }
+
+    #[test]
+    fn parses_report_explain_and_chaos_modes() {
+        let cmd = parse_args(&s(&[
+            "report",
+            "f.fc",
+            "--entry",
+            "main",
+            "--arg",
+            "-2",
+            "--json",
+            "--sanitize-domination",
+            "--flow-facts",
+            "--obs",
+            "j.json",
+            "--trace-out",
+            "p.json",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Report(Report {
+                source: ReportSource::Program {
+                    path: "f.fc".into(),
+                    entry: "main".into(),
+                    args: vec![-2],
+                },
+                sanitize: true,
+                flow_facts: true,
+                json: true,
+                telemetry: Telemetry {
+                    obs: Some("j.json".into()),
+                    trace_out: Some("p.json".into()),
+                    ..Telemetry::default()
+                },
+            })
+        );
+        let cmd = parse_args(&s(&["report", "--corpus", "--json"])).unwrap();
+        assert!(
+            matches!(&cmd, Command::Report(r) if r.source == ReportSource::Corpus && r.json),
+            "{cmd:?}"
+        );
+        let cmd = parse_args(&s(&["report", "--serve", "j.json"])).unwrap();
+        assert!(
+            matches!(&cmd, Command::Report(r) if r.source == ReportSource::Serve("j.json".into())),
+            "{cmd:?}"
+        );
+        assert_eq!(cmd.source_path(), None);
+        assert!(parse_args(&s(&["report", "f.fc"])).is_err());
+        assert!(parse_args(&s(&["report", "--serve", "j", "--corpus"])).is_err());
+
+        assert_eq!(
+            parse_args(&s(&["explain", "f.fc", "--fn", "make"])).unwrap(),
+            Command::Explain {
+                path: "f.fc".into(),
+                func: "make".into(),
+            }
+        );
+        assert!(parse_args(&s(&["explain", "f.fc"])).is_err());
+
+        let cmd = parse_args(&s(&[
+            "chaos",
+            "f.fc",
+            "--seeds",
+            "3",
+            "--faults",
+            "delay,reorder",
+            "--fuel",
+            "99",
+            "--no-sanitize",
+            "--json",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Chaos(Chaos::Schedules {
+                input: Input::File("f.fc".into()),
+                options: fearless_chaos::ChaosOptions {
+                    seeds: 3,
+                    faults: fearless_chaos::FaultSpec::parse("delay,reorder").unwrap(),
+                    fuel: 99,
+                    sanitize: false,
+                    flow_facts: false,
+                    crosscheck: false,
+                },
+                json: true,
+            })
+        );
+        assert_eq!(
+            parse_args(&s(&["chaos", "fuzz", "--cases", "60", "--seed", "11"])).unwrap(),
+            Command::Chaos(Chaos::Fuzz {
+                cases: Some(60),
+                seed: 11,
+            })
+        );
+        assert_eq!(
+            parse_args(&s(&["chaos", "drills", "--dir", "d", "--seed", "5"])).unwrap(),
+            Command::Chaos(Chaos::Drills {
+                dir: Some("d".into()),
+                seed: 5,
+            })
+        );
+        assert_eq!(
+            parse_args(&s(&["chaos", "serve", "--seed", "7", "--watchdog", "30"])).unwrap(),
+            Command::Chaos(Chaos::Serve {
+                seeds: 5,
+                seed: 7,
+                dir: None,
+                out: None,
+                watchdog: 30,
+                json: false,
+            })
+        );
+    }
+
+    fn check_cmd() -> Command {
+        check_of(Input::File(String::new()), 1, None, Telemetry::default())
     }
 
     #[test]
     fn check_and_run_roundtrip() {
         let out = execute_on_source(&check_cmd(), PROGRAM).unwrap();
         assert!(out.contains("ok:"), "{out}");
-        let run = Command::Run {
-            path: String::new(),
-            entry: "double".into(),
-            args: vec![21],
-            unchecked: false,
-            sanitize: false,
-            flow_facts: false,
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let run = Command::Run(run_of("double", vec![21], false, false));
         let out = execute_on_source(&run, PROGRAM).unwrap();
         assert!(out.contains("= 42"), "{out}");
     }
@@ -2579,14 +1100,13 @@ mod tests {
     }
 
     fn lint_cmd(format: LintFormat, deny_warnings: bool) -> Command {
-        Command::Lint {
+        Command::Lint(Lint {
             path: String::new(),
             mode: CheckerMode::Tempered,
             format,
             deny_warnings,
-            trace: None,
-            metrics_json: false,
-        }
+            telemetry: Telemetry::default(),
+        })
     }
 
     const LINTY: &str = "
@@ -2633,36 +1153,14 @@ mod tests {
 
     #[test]
     fn run_with_sanitizer_reports_checked_edges() {
-        let run = Command::Run {
-            path: String::new(),
-            entry: "make".into(),
-            args: vec![5],
-            unchecked: false,
-            sanitize: true,
-            flow_facts: false,
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let run = Command::Run(run_of("make", vec![5], true, false));
         let out = execute_on_source(&run, PROGRAM).unwrap();
         assert!(out.contains("domination sanitizer"), "{out}");
     }
 
     #[test]
     fn check_metrics_json_is_deterministic() {
-        let cmd = Command::Check {
-            path: Some(String::new()),
-            corpus: false,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 1,
-            cache: None,
-            trace: None,
-            metrics_json: true,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = check_of(Input::File(String::new()), 1, None, metrics());
         let a = execute_on_source(&cmd, PROGRAM).unwrap();
         let b = execute_on_source(&cmd, PROGRAM).unwrap();
         assert_eq!(a, b, "metrics JSON must be byte-identical across runs");
@@ -2673,18 +1171,10 @@ mod tests {
 
     #[test]
     fn run_metrics_json_has_check_and_run_spans() {
-        let cmd = Command::Run {
-            path: String::new(),
-            entry: "double".into(),
-            args: vec![21],
-            unchecked: false,
-            sanitize: false,
-            flow_facts: false,
-            trace: None,
-            metrics_json: true,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = Command::Run(Run {
+            telemetry: metrics(),
+            ..run_of("double", vec![21], false, false)
+        });
         let a = execute_on_source(&cmd, PROGRAM).unwrap();
         let b = execute_on_source(&cmd, PROGRAM).unwrap();
         assert_eq!(a, b);
@@ -2696,14 +1186,13 @@ mod tests {
 
     #[test]
     fn lint_metrics_json_replaces_report() {
-        let cmd = Command::Lint {
+        let cmd = Command::Lint(Lint {
             path: String::new(),
             mode: CheckerMode::Tempered,
             format: LintFormat::Human,
             deny_warnings: false,
-            trace: None,
-            metrics_json: true,
-        };
+            telemetry: metrics(),
+        });
         let (result, code) = execute_on_source_with_code(&cmd, LINTY);
         let out = result.unwrap();
         assert!(out.contains("\"lint.findings\": 1"), "{out}");
@@ -2717,18 +1206,15 @@ mod tests {
             "fearless-cli-trace-test-{}.json",
             std::process::id()
         ));
-        let cmd = Command::Check {
-            path: Some(String::new()),
-            corpus: false,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 1,
-            cache: None,
-            trace: Some(path.to_string_lossy().into_owned()),
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = check_of(
+            Input::File(String::new()),
+            1,
+            None,
+            Telemetry {
+                trace: Some(path.to_string_lossy().into_owned()),
+                ..Telemetry::default()
+            },
+        );
         let out = execute_on_source(&cmd, PROGRAM).unwrap();
         assert!(out.contains("ok:"), "{out}");
         let written = std::fs::read_to_string(&path).unwrap();
@@ -2738,13 +1224,12 @@ mod tests {
 
     #[test]
     fn profile_renders_table() {
-        let cmd = Command::Profile {
-            path: Some("demo.fc".into()),
-            corpus: false,
+        let cmd = Command::Profile(Profile {
+            input: Input::File("demo.fc".into()),
             wall_time: false,
-            metrics_json: false,
             cache: None,
-        };
+            telemetry: Telemetry::default(),
+        });
         let a = execute_on_source(&cmd, PROGRAM).unwrap();
         let b = execute_on_source(&cmd, PROGRAM).unwrap();
         assert_eq!(a, b, "profile table must be deterministic");
@@ -2757,13 +1242,12 @@ mod tests {
 
     #[test]
     fn profile_corpus_metrics_json_is_deterministic() {
-        let cmd = Command::Profile {
-            path: None,
-            corpus: true,
+        let cmd = Command::Profile(Profile {
+            input: Input::Corpus,
             wall_time: false,
-            metrics_json: true,
             cache: None,
-        };
+            telemetry: metrics(),
+        });
         let a = execute_on_source(&cmd, "").unwrap();
         let b = execute_on_source(&cmd, "").unwrap();
         assert_eq!(a, b, "corpus metrics must be byte-identical across runs");
@@ -2786,18 +1270,7 @@ mod tests {
 
     #[test]
     fn parallel_check_matches_serial_byte_for_byte() {
-        let check_with_jobs = |jobs: usize| Command::Check {
-            path: None,
-            corpus: true,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs,
-            cache: None,
-            trace: None,
-            metrics_json: true,
-            obs: None,
-            trace_out: None,
-        };
+        let check_with_jobs = |jobs: usize| check_of(Input::Corpus, jobs, None, metrics());
         let serial = check_with_jobs(1);
         let parallel = check_with_jobs(4);
         let a = execute_on_source(&serial, "").unwrap();
@@ -2808,18 +1281,12 @@ mod tests {
     #[test]
     fn warm_check_output_is_byte_identical_to_cold() {
         let dir = temp_cache_dir("warm");
-        let cmd = Command::Check {
-            path: Some(String::new()),
-            corpus: false,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 1,
-            cache: Some(dir.to_string_lossy().into_owned()),
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = check_of(
+            Input::File(String::new()),
+            1,
+            Some(dir.to_string_lossy().into_owned()),
+            Telemetry::default(),
+        );
         let cold = execute_on_source(&cmd, PROGRAM).unwrap();
         assert!(dir.join("check-cache.json").is_file(), "cache persisted");
         let warm = execute_on_source(&cmd, PROGRAM).unwrap();
@@ -2844,18 +1311,7 @@ mod tests {
 
     #[test]
     fn check_corpus_reports_expected_rejections() {
-        let cmd = Command::Check {
-            path: None,
-            corpus: true,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 2,
-            cache: None,
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = check_of(Input::Corpus, 2, None, Telemetry::default());
         let out = execute_on_source(&cmd, "").unwrap();
         for entry in fearless_corpus::all_entries() {
             assert!(out.contains(entry.name), "missing {}: {out}", entry.name);
@@ -2872,18 +1328,12 @@ mod tests {
     #[test]
     fn check_type_errors_replay_identically_from_cache() {
         let dir = temp_cache_dir("err");
-        let cmd = Command::Check {
-            path: Some(String::new()),
-            corpus: false,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 1,
-            cache: Some(dir.to_string_lossy().into_owned()),
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = check_of(
+            Input::File(String::new()),
+            1,
+            Some(dir.to_string_lossy().into_owned()),
+            Telemetry::default(),
+        );
         let bad = "def f(x: int) : bool { x }";
         let cold = execute_on_source(&cmd, bad).unwrap_err();
         let warm = execute_on_source(&cmd, bad).unwrap_err();
@@ -2894,11 +1344,10 @@ mod tests {
 
     #[test]
     fn flow_dumps_deterministic_summaries() {
-        let cmd = Command::Flow {
-            path: Some(String::new()),
-            corpus: false,
+        let cmd = Command::Flow(Flow {
+            input: Input::File(String::new()),
             cache: None,
-        };
+        });
         let a = execute_on_source(&cmd, PROGRAM).unwrap();
         let b = execute_on_source(&cmd, PROGRAM).unwrap();
         assert_eq!(a, b, "flow JSON must be byte-identical across runs");
@@ -2909,11 +1358,10 @@ mod tests {
 
     #[test]
     fn flow_corpus_covers_every_accepted_entry() {
-        let cmd = Command::Flow {
-            path: None,
-            corpus: true,
+        let cmd = Command::Flow(Flow {
+            input: Input::Corpus,
             cache: None,
-        };
+        });
         let a = execute_on_source(&cmd, "").unwrap();
         let b = execute_on_source(&cmd, "").unwrap();
         assert_eq!(a, b);
@@ -2926,16 +1374,14 @@ mod tests {
     #[test]
     fn flow_cache_warm_run_is_byte_identical_to_cold() {
         let dir = temp_cache_dir("flow");
-        let cached = Command::Flow {
-            path: Some(String::new()),
-            corpus: false,
+        let cached = Command::Flow(Flow {
+            input: Input::File(String::new()),
             cache: Some(dir.to_string_lossy().into_owned()),
-        };
-        let uncached = Command::Flow {
-            path: Some(String::new()),
-            corpus: false,
+        });
+        let uncached = Command::Flow(Flow {
+            input: Input::File(String::new()),
             cache: None,
-        };
+        });
         let cold = execute_on_source(&cached, PROGRAM).unwrap();
         assert!(dir.join("flow.json").is_file(), "cache persisted");
         let warm = execute_on_source(&cached, PROGRAM).unwrap();
@@ -2956,18 +1402,7 @@ mod tests {
               d.value
             }
         ";
-        let run = Command::Run {
-            path: String::new(),
-            entry: "main".into(),
-            args: vec![5],
-            unchecked: false,
-            sanitize: true,
-            flow_facts: true,
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let run = Command::Run(run_of("main", vec![5], true, true));
         let out = execute_on_source(&run, src).unwrap();
         assert!(out.contains("= 7"), "{out}");
         assert!(out.contains("flow facts:"), "{out}");
@@ -2985,13 +1420,12 @@ mod tests {
     #[test]
     fn profile_cache_reports_hits_on_the_second_run() {
         let dir = temp_cache_dir("profile");
-        let cmd = Command::Profile {
-            path: Some("demo.fc".into()),
-            corpus: false,
+        let cmd = Command::Profile(Profile {
+            input: Input::File("demo.fc".into()),
             wall_time: false,
-            metrics_json: false,
             cache: Some(dir.to_string_lossy().into_owned()),
-        };
+            telemetry: Telemetry::default(),
+        });
         let cold = execute_on_source(&cmd, PROGRAM).unwrap();
         let warm = execute_on_source(&cmd, PROGRAM).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -3016,18 +1450,12 @@ mod tests {
     #[test]
     fn check_cache_prints_cache_summary_line() {
         let dir = temp_cache_dir("summary");
-        let cmd = Command::Check {
-            path: Some(String::new()),
-            corpus: false,
-            mode: CheckerMode::Tempered,
-            no_oracle: false,
-            jobs: 1,
-            cache: Some(dir.to_string_lossy().into_owned()),
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: None,
-        };
+        let cmd = check_of(
+            Input::File(String::new()),
+            1,
+            Some(dir.to_string_lossy().into_owned()),
+            Telemetry::default(),
+        );
         let cold = execute_on_source(&cmd, PROGRAM).unwrap();
         let warm = execute_on_source(&cmd, PROGRAM).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -3060,18 +1488,15 @@ mod tests {
                 cache.is_some(),
                 std::process::id()
             ));
-            let cmd = Command::Check {
-                path: None,
-                corpus: true,
-                mode: CheckerMode::Tempered,
-                no_oracle: false,
+            let cmd = check_of(
+                Input::Corpus,
                 jobs,
-                cache: cache.map(|c| c.to_string_lossy().into_owned()),
-                trace: None,
-                metrics_json: false,
-                obs: Some(path.to_string_lossy().into_owned()),
-                trace_out: None,
-            };
+                cache.map(|c| c.to_string_lossy().into_owned()),
+                Telemetry {
+                    obs: Some(path.to_string_lossy().into_owned()),
+                    ..Telemetry::default()
+                },
+            );
             execute_on_source(&cmd, "").unwrap();
             let out = std::fs::read_to_string(&path).unwrap();
             let _ = std::fs::remove_file(&path);
@@ -3094,18 +1519,13 @@ mod tests {
             "fearless-cli-obs-perfetto-{}.json",
             std::process::id()
         ));
-        let cmd = Command::Run {
-            path: String::new(),
-            entry: "double".into(),
-            args: vec![21],
-            unchecked: false,
-            sanitize: false,
-            flow_facts: false,
-            trace: None,
-            metrics_json: false,
-            obs: None,
-            trace_out: Some(path.to_string_lossy().into_owned()),
-        };
+        let cmd = Command::Run(Run {
+            telemetry: Telemetry {
+                trace_out: Some(path.to_string_lossy().into_owned()),
+                ..Telemetry::default()
+            },
+            ..run_of("double", vec![21], false, false)
+        });
         let out = execute_on_source(&cmd, PROGRAM).unwrap();
         assert!(out.contains("= 42"), "{out}");
         let written = std::fs::read_to_string(&path).unwrap();
@@ -3116,18 +1536,13 @@ mod tests {
 
     #[test]
     fn report_corpus_covers_every_scenario_and_is_deterministic() {
-        let cmd = Command::Report {
-            serve: None,
-            path: None,
-            corpus: true,
-            entry: None,
-            args: Vec::new(),
+        let cmd = Command::Report(Report {
+            source: ReportSource::Corpus,
             sanitize: false,
             flow_facts: false,
             json: false,
-            obs: None,
-            trace_out: None,
-        };
+            telemetry: Telemetry::default(),
+        });
         let a = execute_on_source(&cmd, "").unwrap();
         let b = execute_on_source(&cmd, "").unwrap();
         assert_eq!(a, b, "report must be deterministic");

@@ -30,6 +30,16 @@ fn missing_file_is_a_diagnostic_with_its_own_status() {
     }
 }
 
+/// A misspelled flag is a usage error (status 1), never a file name.
+#[test]
+fn misspelled_flag_is_a_usage_error_not_a_missing_file() {
+    let (result, code) = main_with_code(&args(&["check", "--corpsu"]));
+    let msg = result.unwrap_err();
+    assert_ne!(code, EXIT_MISSING_FILE, "{msg}");
+    assert_eq!(code, 1, "{msg}");
+    assert_eq!(msg, "unexpected argument `--corpsu`");
+}
+
 #[test]
 fn unreadable_file_is_a_diagnostic_with_its_own_status() {
     // A directory exists but cannot be read as a file.

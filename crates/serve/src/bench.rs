@@ -27,7 +27,7 @@ use crate::client::{splitmix, stat_counter, Client};
 use crate::protocol::{codes, WORK_KINDS};
 
 /// Load-generator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchOptions {
     /// Daemon socket to drive.
     pub socket: PathBuf,

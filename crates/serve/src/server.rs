@@ -83,7 +83,7 @@ pub const PANIC_MARKER: &str = "fearless-guard: inject-panic";
 pub const STALL_MARKER: &str = "fearless-guard: inject-stall";
 
 /// Daemon configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Unix socket path to listen on.
     pub socket: PathBuf,
