@@ -2,117 +2,271 @@
 //!
 //! Each candidate annotation — a `pinned` parameter, a `before` region
 //! relation, a `consumes` clause, or an `iso` field declaration — is
-//! removed (or weakened) in a clone of the program, and the *whole* program
-//! is re-checked under the original options. Re-checking everything, not
-//! just the annotated function, means callers are validated too: a reported
-//! annotation can really be deleted. `after` relations are skipped — they
-//! are promises to callers outside this program, so weakening them is not
-//! locally justifiable.
+//! deleted in one owned copy of the program, the probe asks whether that
+//! program still checks under the original options, and the annotation is
+//! put back. `after` relations are skipped — they are promises to callers
+//! outside this program, so weakening them is not locally justifiable.
 //!
-//! The probes ask "does the mutated program still check?" through
-//! `fearless-incr`'s [`check_units`] over one ephemeral check store. A
-//! single pass over the original program seeds it, so each probe only
-//! re-derives the functions its deletion actually invalidates (the mutated
-//! function plus, for signature/field edits, its transitive dependents);
-//! every untouched function replays its stored summary. A probe checks
-//! every function, not just up to the first error, and its verdict is
-//! identical to a full re-check — store correctness rests on fingerprint
-//! soundness.
+//! A probe's verdict is that of a whole-program re-check, callers
+//! included, so a reported annotation can really be deleted. It re-derives
+//! only the probe's *dirty set*, the functions whose fingerprint the
+//! deletion can change. The checker is signature-modular (§4.4) and a
+//! deletion leaves every function's [`fn_deps`] set as it was, so:
+//!
+//! * deleting an annotation of `f` changes `f`'s text and signature, and
+//!   with it exactly the functions whose callees include `f`;
+//! * flipping an `iso` field of `S` changes no signature, only the
+//!   functions whose reachable structs include `S`.
+//!
+//! Both sets are read off one reverse index over the original program's
+//! [`fn_deps`] sets, the same sets the fingerprints hash. Every other
+//! function keeps its fingerprint, so it keeps the outcome the
+//! [`CheckedProgram`] already proves. A probe whose environment no longer
+//! validates fails outright. Otherwise it checks the dirty functions, the
+//! annotated one first, and stops at the first failure. Verdicts are
+//! memoized by fingerprint across probes.
 
-use fearless_core::CheckedProgram;
-use fearless_incr::{check_units, CacheStats, DiskCache};
-use fearless_syntax::{Program, Severity, Span};
-use fearless_trace::Tracer;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+use fearless_core::check::check_fn;
+use fearless_core::{fn_deps, fn_fingerprint, CheckedProgram, Fingerprint, Globals};
+use fearless_syntax::{Program, Severity, Span, Symbol};
 
 use crate::{AnalysisReport, Lint, LintCode};
 
-pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
-    let options = checked.options;
-    let mut cache = DiskCache::ephemeral();
-    let seed = [(String::new(), checked.program.clone())];
-    check_units(&seed, &options, 1, Some(&mut cache), &mut Tracer::off());
-    // Probe traffic only: the seeding pass is not a probe.
-    let mut traffic = CacheStats::default();
-    // Re-checks `p`, the program minus one annotation, and reports that
-    // annotation at `span` when `p` still checks.
-    let mut probe = |report: &mut AnalysisReport,
-                     p: Program,
-                     func: Option<&str>,
-                     span: Span,
-                     message: String| {
-        report.stats.recheck_experiments += 1;
-        let unit = [(String::new(), p)];
-        let run = check_units(&unit, &options, 1, Some(&mut cache), &mut Tracer::off());
-        traffic.absorb(&run.stats);
-        if run.units[0].first_error().is_none() {
-            report.lints.push(Lint {
-                code: LintCode::OverStrongAnnotation,
-                severity: Severity::Warning,
-                func: func.map(str::to_string),
-                span,
-                message,
-            });
-        }
-    };
+/// A function annotation kind a probe can delete.
+#[derive(Clone, Copy)]
+enum Ann {
+    Pinned,
+    Before,
+    Consumes,
+}
 
-    for (fi, f) in checked.program.funcs.iter().enumerate() {
-        let func = Some(f.name.as_str());
-        let param_span = |name: &fearless_syntax::Symbol| -> Span {
+/// The one annotation a probe deletes.
+#[derive(Clone, Copy)]
+enum Deletion {
+    /// Entry `at` of one annotation list of function `func`.
+    Annotation { func: usize, ann: Ann, at: usize },
+    /// The `iso` of field `field` of struct `strukt`.
+    Iso { strukt: usize, field: usize },
+}
+
+impl Deletion {
+    /// Runs `probe` over `program` with the annotation deleted, then puts
+    /// it back.
+    fn probe<R>(self, program: &mut Program, probe: impl FnOnce(&Program) -> R) -> R {
+        match self {
+            Deletion::Annotation { func, ann, at } => {
+                let a = &mut program.funcs[func].annotations;
+                let saved = a.clone();
+                match ann {
+                    Ann::Pinned => drop(a.pinned.remove(at)),
+                    Ann::Before => drop(a.before.remove(at)),
+                    Ann::Consumes => drop(a.consumes.remove(at)),
+                }
+                let verdict = probe(program);
+                program.funcs[func].annotations = saved;
+                verdict
+            }
+            Deletion::Iso { strukt, field } => {
+                program.structs[strukt].fields[field].iso = false;
+                let verdict = probe(program);
+                program.structs[strukt].fields[field].iso = true;
+                verdict
+            }
+        }
+    }
+}
+
+/// One FA002 candidate: the deletion its probe tries and the finding it
+/// reports when the program still checks.
+struct Candidate {
+    deletion: Deletion,
+    span: Span,
+    message: String,
+}
+
+/// Every candidate of `program`, function annotations in definition
+/// order first, then `iso` fields.
+fn candidates(program: &Program) -> Vec<Candidate> {
+    let mut out = Vec::new();
+    for (func, f) in program.funcs.iter().enumerate() {
+        let param_span = |name: &Symbol| -> Span {
             f.params
                 .iter()
                 .find(|p| p.name == *name)
                 .map_or(f.span, |p| p.span)
         };
-
-        for (i, name) in f.annotations.pinned.iter().enumerate() {
-            let mut p = checked.program.clone();
-            p.funcs[fi].annotations.pinned.remove(i);
-            let message = format!("`pinned {name}` is unnecessary: the program checks without it");
-            probe(report, p, func, param_span(name), message);
+        let a = &f.annotations;
+        for (at, name) in a.pinned.iter().enumerate() {
+            out.push(Candidate {
+                deletion: Deletion::Annotation {
+                    func,
+                    ann: Ann::Pinned,
+                    at,
+                },
+                span: param_span(name),
+                message: format!("`pinned {name}` is unnecessary: the program checks without it"),
+            });
         }
-
-        for (i, rel) in f.annotations.before.iter().enumerate() {
-            let mut p = checked.program.clone();
-            p.funcs[fi].annotations.before.remove(i);
-            let message = "this `before` relation is unnecessary: the program checks without it";
-            probe(report, p, func, rel.span, message.to_string());
+        for (at, rel) in a.before.iter().enumerate() {
+            out.push(Candidate {
+                deletion: Deletion::Annotation {
+                    func,
+                    ann: Ann::Before,
+                    at,
+                },
+                span: rel.span,
+                message: "this `before` relation is unnecessary: the program checks without it"
+                    .to_string(),
+            });
         }
-
-        for (i, name) in f.annotations.consumes.iter().enumerate() {
-            let mut p = checked.program.clone();
-            p.funcs[fi].annotations.consumes.remove(i);
-            let message = format!(
-                "`consumes {name}` is over-strong: the program checks without consuming it"
-            );
-            probe(report, p, func, param_span(name), message);
+        for (at, name) in a.consumes.iter().enumerate() {
+            out.push(Candidate {
+                deletion: Deletion::Annotation {
+                    func,
+                    ann: Ann::Consumes,
+                    at,
+                },
+                span: param_span(name),
+                message: format!(
+                    "`consumes {name}` is over-strong: the program checks without consuming it"
+                ),
+            });
         }
     }
-
-    for (si, s) in checked.program.structs.iter().enumerate() {
-        for (fi, field) in s.fields.iter().enumerate().filter(|(_, f)| f.iso) {
-            let mut p = checked.program.clone();
-            p.structs[si].fields[fi].iso = false;
-            let message = format!(
-                "field `{}.{}` is declared `iso` but the program checks with a plain field",
-                s.name, field.name
-            );
-            probe(report, p, None, field.span, message);
+    for (strukt, s) in program.structs.iter().enumerate() {
+        for (field, fd) in s.fields.iter().enumerate().filter(|(_, f)| f.iso) {
+            out.push(Candidate {
+                deletion: Deletion::Iso { strukt, field },
+                span: fd.span,
+                message: format!(
+                    "field `{}.{}` is declared `iso` but the program checks with a plain field",
+                    s.name, fd.name
+                ),
+            });
         }
     }
+    out
+}
 
-    report.stats.recheck_cache_hits = traffic.hits;
-    report.stats.recheck_cache_misses = traffic.misses;
+/// The reverse of every function's [`fn_deps`] set over the original
+/// program: which functions (by definition index, ascending) name a given
+/// callee, and which reach a given struct.
+struct Dependents {
+    callers: HashMap<Symbol, Vec<usize>>,
+    reaching: HashMap<Symbol, Vec<usize>>,
+}
+
+impl Dependents {
+    fn build(program: &Program, globals: &Globals) -> Self {
+        let mut callers: HashMap<Symbol, Vec<usize>> = HashMap::new();
+        let mut reaching: HashMap<Symbol, Vec<usize>> = HashMap::new();
+        for (i, f) in program.funcs.iter().enumerate() {
+            let deps = fn_deps(globals, f);
+            for name in deps.callees {
+                callers.entry(name).or_default().push(i);
+            }
+            for name in deps.structs {
+                reaching.entry(name).or_default().push(i);
+            }
+        }
+        Dependents { callers, reaching }
+    }
+
+    /// The functions whose fingerprint `deletion` can change: the
+    /// annotated function first, then the rest in definition order.
+    fn dirty(&self, program: &Program, deletion: Deletion) -> Vec<usize> {
+        let (index, name, first) = match deletion {
+            Deletion::Annotation { func, .. } => {
+                (&self.callers, &program.funcs[func].name, Some(func))
+            }
+            Deletion::Iso { strukt, .. } => (&self.reaching, &program.structs[strukt].name, None),
+        };
+        let rest = index.get(name).into_iter().flatten().copied();
+        first
+            .into_iter()
+            .chain(rest.filter(|&i| Some(i) != first))
+            .collect()
+    }
+}
+
+pub(crate) fn run(checked: &CheckedProgram, globals: &Globals, report: &mut AnalysisReport) {
+    let options = &checked.options;
+    let dependents = Dependents::build(&checked.program, globals);
+    let mut program = checked.program.clone();
+    // Whether the function with a given fingerprint checks, as derived by
+    // an earlier probe.
+    let mut verdicts: HashMap<Fingerprint, bool> = HashMap::new();
+    let stats = &mut report.stats;
+    for c in candidates(&checked.program) {
+        stats.recheck_experiments += 1;
+        let dirty = dependents.dirty(&checked.program, c.deletion);
+        let checks = c.deletion.probe(&mut program, |p| {
+            let Ok(globals) = Globals::build(p, options.mode) else {
+                return false;
+            };
+            dirty.iter().all(|&i| {
+                let def = &p.funcs[i];
+                stats.recheck_fingerprints += 1;
+                match verdicts.entry(fn_fingerprint(&globals, options, def)) {
+                    Entry::Occupied(v) => {
+                        stats.recheck_cache_hits += 1;
+                        *v.get()
+                    }
+                    Entry::Vacant(v) => {
+                        stats.recheck_cache_misses += 1;
+                        *v.insert(check_fn(&globals, options, def).is_ok())
+                    }
+                }
+            })
+        });
+        if checks {
+            let func = match c.deletion {
+                Deletion::Annotation { func, .. } => {
+                    Some(checked.program.funcs[func].name.to_string())
+                }
+                Deletion::Iso { .. } => None,
+            };
+            report.lints.push(Lint {
+                code: LintCode::OverStrongAnnotation,
+                severity: Severity::Warning,
+                func,
+                span: c.span,
+                message: c.message,
+            });
+        }
+    }
+}
+
+/// Every probe of `checked` in order: the program with its annotation
+/// deleted, and the functions (definition indices) it re-derives.
+pub(crate) fn dirty_sets(
+    checked: &CheckedProgram,
+    globals: &Globals,
+) -> Vec<(Program, Vec<usize>)> {
+    let dependents = Dependents::build(&checked.program, globals);
+    let mut program = checked.program.clone();
+    candidates(&checked.program)
+        .into_iter()
+        .map(|c| {
+            let dirty = dependents.dirty(&checked.program, c.deletion);
+            (c.deletion.probe(&mut program, Program::clone), dirty)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fearless_core::{check_source, CheckerOptions};
+    use fearless_core::{check_source, globals_of, CheckerOptions};
 
     fn analyze(src: &str) -> AnalysisReport {
         let checked = check_source(src, &CheckerOptions::default()).unwrap();
+        let globals = globals_of(&checked).unwrap();
         let mut report = AnalysisReport::default();
-        run(&checked, &mut report);
+        run(&checked, &globals, &mut report);
         report
     }
 
@@ -132,10 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn probes_hit_the_seeded_cache() {
-        // Three functions, one probed annotation: each probe re-checks the
-        // mutated function (and nothing else), so the untouched functions
-        // are all answered from the seed.
+    fn probes_derive_only_their_dirty_set() {
+        // Three functions, one probed annotation. Nothing calls `peek`, so
+        // deleting `pinned d` dirties `peek` alone: `make` and `get` are
+        // neither fingerprinted nor derived.
         let report = analyze(
             "struct data { value: int }
              def make(v: int) : data { new data(v) }
@@ -143,9 +297,8 @@ mod tests {
              def peek(d: data) : int pinned d { d.value }",
         );
         assert_eq!(report.stats.recheck_experiments, 1);
-        // The probe deletes `pinned d` from `peek`: `make` and `get` keep
-        // their fingerprints (hits); only `peek` re-derives.
-        assert_eq!(report.stats.recheck_cache_hits, 2);
+        assert_eq!(report.stats.recheck_fingerprints, 1);
+        assert_eq!(report.stats.recheck_cache_hits, 0);
         assert_eq!(report.stats.recheck_cache_misses, 1);
     }
 

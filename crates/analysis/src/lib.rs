@@ -55,7 +55,7 @@ use std::collections::BTreeMap;
 
 use fearless_core::{CheckedProgram, CheckerOptions, SearchHints, VirKind};
 use fearless_syntax::diag::render_lint;
-use fearless_syntax::{Severity, Span};
+use fearless_syntax::{Program, Severity, Span};
 
 /// Stable identifiers for the analysis passes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -139,12 +139,16 @@ pub struct AnalysisStats {
     /// Redundant (elidable) virtual steps per kind, as confirmed by the
     /// verifier.
     pub vir_redundant: BTreeMap<VirKind, usize>,
-    /// Annotation-removal experiments run (each probes one deletion).
+    /// FA002 annotation-removal probes run (each probes one deletion).
     pub recheck_experiments: usize,
-    /// Per-function probe queries answered from the fingerprint store
-    /// (not part of the JSON report; see `fearless_incr::check_units`).
+    /// Functions FA002 probes fingerprinted: the dirty functions they
+    /// reached before a verdict (not part of the JSON report, nor are the
+    /// two counters below).
+    pub recheck_fingerprints: u64,
+    /// Dirty functions answered from a verdict an earlier probe already
+    /// derived for the same fingerprint.
     pub recheck_cache_hits: u64,
-    /// Per-function probe queries that actually re-ran the checker.
+    /// Dirty functions the probes re-derived.
     pub recheck_cache_misses: u64,
 }
 
@@ -228,7 +232,7 @@ pub fn analyze_program(checked: &CheckedProgram) -> Result<AnalysisReport, Strin
     report.stats.vir_steps = checked.derivations.iter().map(|d| d.vir_steps).sum();
 
     redundant::run(checked, &globals, &mut report);
-    annotations::run(checked, &mut report);
+    annotations::run(checked, &globals, &mut report);
     regions::run(checked, &mut report);
     flow_lints::run(checked, &mut report);
 
@@ -250,6 +254,20 @@ pub fn analyze_program(checked: &CheckedProgram) -> Result<AnalysisReport, Strin
         (fo, l.span.lo, l.span.hi, l.code)
     });
     Ok(report)
+}
+
+/// Each FA002 probe of `checked`, in probe order: the program with that
+/// probe's annotation deleted, and the functions (definition indices) the
+/// probe re-derives. Not part of the lint; it lets differential tests hold
+/// the dirty sets against whole-program fingerprints.
+///
+/// # Errors
+///
+/// As [`analyze_program`].
+#[doc(hidden)]
+pub fn fa002_dirty_sets(checked: &CheckedProgram) -> Result<Vec<(Program, Vec<usize>)>, String> {
+    let globals = fearless_core::globals_of(checked).map_err(|e| e.to_string())?;
+    Ok(annotations::dirty_sets(checked, &globals))
 }
 
 /// Parses, checks, and analyzes source text.

@@ -23,10 +23,9 @@ use crate::{AnalysisReport, Lint, LintCode};
 const EXHAUSTIVE_LIMIT: usize = 12;
 
 pub(crate) fn run(checked: &CheckedProgram, globals: &Globals, report: &mut AnalysisReport) {
-    for derivation in &checked.derivations {
-        let Some(def) = checked.program.func(&derivation.func) else {
-            continue;
-        };
+    // Both are in definition order.
+    for (derivation, def) in checked.derivations.iter().zip(&checked.program.funcs) {
+        debug_assert_eq!(derivation.func, def.name);
         for node in &derivation.nodes {
             if let Some(step) = &node.vir {
                 *report.stats.vir_totals.entry(step.kind()).or_insert(0) += 1;

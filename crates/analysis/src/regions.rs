@@ -17,10 +17,9 @@ use fearless_syntax::Severity;
 use crate::{AnalysisReport, Lint, LintCode};
 
 pub(crate) fn run(checked: &CheckedProgram, report: &mut AnalysisReport) {
-    for derivation in &checked.derivations {
-        let Some(def) = checked.program.func(&derivation.func) else {
-            continue;
-        };
+    // Both are in definition order.
+    for (derivation, def) in checked.derivations.iter().zip(&checked.program.funcs) {
+        debug_assert_eq!(derivation.func, def.name);
         dead_regions(derivation, def.span, report);
         unused_tracking(derivation, def.span, report);
     }

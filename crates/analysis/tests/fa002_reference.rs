@@ -112,3 +112,59 @@ fn fa002_matches_cold_reference_on_a_synth_program() {
     assert!(has_probeable_annotation(&checked.program));
     assert_matches_reference("synth seed 7", &checked);
 }
+
+fn check(src: &str) -> CheckedProgram {
+    fearless_core::check_source(src, &CheckerOptions::default())
+        .unwrap_or_else(|e| panic!("{}", e.render(src)))
+}
+
+#[test]
+fn fa002_matches_cold_reference_when_a_probe_breaks_the_environment() {
+    // Un-`iso`ing `dll.hd` invalidates `first`'s `after: l.hd ~ result`,
+    // so that probe fails in environment validation, before any function
+    // is checked; un-`iso`ing `dll_node.payload` still checks.
+    let checked = check(
+        "struct data { value: int }
+         struct dll_node { iso payload : data; next : dll_node; prev : dll_node }
+         struct dll { iso hd : dll_node? }
+         def first(l : dll) : dll_node? after: l.hd ~ result {
+           let some(node) = l.hd in { some(node) } else { none }
+         }
+         def head_value(l : dll) : int {
+           let some(n) = first(l) in { n.payload.value } else { 0 }
+         }",
+    );
+    let env_errors = fearless_analyze::fa002_dirty_sets(&checked)
+        .unwrap()
+        .iter()
+        .filter(|(p, _)| fearless_core::Globals::build(p, checked.options.mode).is_err())
+        .count();
+    assert_eq!(env_errors, 1);
+    assert_matches_reference("env-error probe", &checked);
+}
+
+#[test]
+fn fa002_matches_cold_reference_when_a_probe_fails_early() {
+    // Deleting `consumes d` from `ship` dirties `ship` and its caller
+    // `relay`; `ship` fails first, so the probe stops before `relay`.
+    let checked = check(
+        "struct data { value: int }
+         def ship(d : data) : unit consumes d { send(d); unit }
+         def relay(d : data) : unit consumes d { ship(d) }
+         def forward(d : data) : unit consumes d { relay(d) }
+         def peek(d : data) : int pinned d { d.value }
+         def twice(d : data) : int { peek(d) + peek(d) }",
+    );
+    let dirty: usize = fearless_analyze::fa002_dirty_sets(&checked)
+        .unwrap()
+        .iter()
+        .map(|(_, dirty)| dirty.len())
+        .sum();
+    let stats = analyze_program(&checked).unwrap().stats;
+    assert!(
+        stats.recheck_fingerprints < dirty as u64,
+        "no probe stopped early: {} of {dirty} dirty functions fingerprinted",
+        stats.recheck_fingerprints
+    );
+    assert_matches_reference("early-failing probe", &checked);
+}

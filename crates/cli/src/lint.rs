@@ -76,6 +76,10 @@ impl Lint {
                 "lint.recheck_experiments",
                 report.stats.recheck_experiments as u64,
             );
+            sink.add(
+                "lint.recheck_fingerprints",
+                report.stats.recheck_fingerprints,
+            );
             sink.add("lint.recheck_cache_hits", report.stats.recheck_cache_hits);
             sink.add(
                 "lint.recheck_cache_misses",

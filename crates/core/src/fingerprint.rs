@@ -18,9 +18,12 @@
 //!   signature, closed transitively over field types.
 //!
 //! This is the key of the one check-outcome store, `fearless-incr`'s
-//! check table, which serves `fearlessc check --cache`, the daemon, and
-//! the FA002 lint's probes: equal fingerprints → byte-identical check
-//! outcomes, different fingerprints → conservative re-check.
+//! check table, which serves `fearlessc check --cache` and the daemon,
+//! and of the FA002 lint's verdict memo: equal fingerprints →
+//! byte-identical check outcomes, different fingerprints → conservative
+//! re-check. The FA002 lint also inverts [`fn_deps`], the dependency set
+//! the hash covers, to find the functions an annotation deletion can
+//! reach.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -152,6 +155,64 @@ fn body_refs(body: &Expr, callees: &mut BTreeSet<Symbol>, structs: &mut BTreeSet
     });
 }
 
+/// The names a function's check consults beyond its own definition: the
+/// dependency set [`fn_fingerprint`] hashes. Reverse indexes built from
+/// it (which functions a signature or struct edit can reach) therefore
+/// cannot drift from the fingerprints themselves.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct FnDeps {
+    /// Every callee, the function itself included, in sorted order.
+    pub callees: BTreeSet<Symbol>,
+    /// Every reachable struct name, in sorted order: those named in the
+    /// function's parameter/result types, in its body (`new`, `recv`),
+    /// or in a callee signature, closed transitively over field types.
+    /// Names `globals` does not know are kept (they hash as absent).
+    pub structs: BTreeSet<Symbol>,
+}
+
+/// Collects the dependency set of `def` in the environment `globals`.
+pub fn fn_deps(globals: &Globals, def: &FnDef) -> FnDeps {
+    let mut callees = BTreeSet::new();
+    let mut structs = BTreeSet::new();
+    body_refs(&def.body, &mut callees, &mut structs);
+    for p in &def.params {
+        type_structs(&p.ty, &mut structs);
+    }
+    type_structs(&def.ret, &mut structs);
+
+    // The function's own elaborated signature counts as a callee's. (It
+    // is derivable from the definition text, but hashing the elaborated
+    // form guards against elaboration changes.)
+    callees.insert(def.name.clone());
+    for sig in callees.iter().filter_map(|name| globals.sig(name)) {
+        for ty in sig.param_tys.iter().chain(std::iter::once(&sig.ret)) {
+            type_structs(ty, &mut structs);
+        }
+    }
+
+    // Close over field types.
+    let mut reachable: BTreeSet<Symbol> = BTreeSet::new();
+    let mut queue: VecDeque<Symbol> = structs.into_iter().collect();
+    while let Some(name) = queue.pop_front() {
+        if !reachable.insert(name.clone()) {
+            continue;
+        }
+        if let Some(sdef) = globals.struct_def(&name) {
+            for field in &sdef.fields {
+                if let Some(inner) = field.ty.struct_name() {
+                    if !reachable.contains(inner) {
+                        queue.push_back(inner.clone());
+                    }
+                }
+            }
+        }
+    }
+    FnDeps {
+        callees,
+        structs: reachable,
+    }
+}
+
 /// Computes the content fingerprint of `def` in the environment
 /// `globals` under `options`.
 ///
@@ -174,54 +235,23 @@ pub fn fn_fingerprint(globals: &Globals, options: &CheckerOptions, def: &FnDef) 
     h.write_str("def");
     h.write_str(&pretty::fn_to_string(def));
 
-    // Collect the name sets the body and signature mention.
-    let mut callees = BTreeSet::new();
-    let mut structs = BTreeSet::new();
-    body_refs(&def.body, &mut callees, &mut structs);
-    for p in &def.params {
-        type_structs(&p.ty, &mut structs);
-    }
-    type_structs(&def.ret, &mut structs);
+    let deps = fn_deps(globals, def);
 
     // 3. The function's own elaborated signature plus every callee's.
-    // (The own signature is derivable from the definition text, but
-    // hashing the elaborated form guards against elaboration changes.)
-    callees.insert(def.name.clone());
     h.write_str("sigs");
-    for name in &callees {
+    for name in &deps.callees {
         h.write_str(name.as_str());
         match globals.sig(name) {
-            Some(sig) => {
-                h.write_str(&sig_digest(sig));
-                for ty in sig.param_tys.iter().chain(std::iter::once(&sig.ret)) {
-                    type_structs(ty, &mut structs);
-                }
-            }
+            Some(sig) => h.write_str(&sig_digest(sig)),
             None => h.write_str("(absent)"),
         }
     }
 
-    // 4. Reachable structs: close over field types, then hash each
-    // declaration in sorted order. Unknown names hash as absent so that
-    // *adding* a previously missing struct also invalidates.
-    let mut reachable: BTreeSet<Symbol> = BTreeSet::new();
-    let mut queue: VecDeque<Symbol> = structs.into_iter().collect();
-    while let Some(name) = queue.pop_front() {
-        if !reachable.insert(name.clone()) {
-            continue;
-        }
-        if let Some(sdef) = globals.struct_def(&name) {
-            for field in &sdef.fields {
-                if let Some(inner) = field.ty.struct_name() {
-                    if !reachable.contains(inner) {
-                        queue.push_back(inner.clone());
-                    }
-                }
-            }
-        }
-    }
+    // 4. Every reachable struct declaration, in sorted order. Unknown
+    // names hash as absent so that *adding* a previously missing struct
+    // also invalidates.
     h.write_str("structs");
-    for name in &reachable {
+    for name in &deps.structs {
         h.write_str(name.as_str());
         match globals.struct_def(name) {
             Some(sdef) => h.write_str(&pretty::struct_to_string(sdef)),
@@ -311,6 +341,21 @@ mod tests {
         assert_ne!(before[0].1, after[0].1);
         assert_ne!(before[1].1, after[1].1);
         assert_eq!(before[2], after[2], "lone reaches no structs");
+    }
+
+    #[test]
+    fn deps_name_callees_and_the_struct_closure() {
+        let program = parse_program(SRC).unwrap();
+        let globals = Globals::build(&program, CheckerOptions::default().mode).unwrap();
+        let names = |set: &BTreeSet<Symbol>| -> Vec<String> {
+            set.iter().map(|s| s.as_str().to_string()).collect()
+        };
+        let twice = fn_deps(&globals, &program.funcs[1]);
+        assert_eq!(names(&twice.callees), ["get", "twice"]);
+        assert_eq!(names(&twice.structs), ["data", "holder"]);
+        let lone = fn_deps(&globals, &program.funcs[2]);
+        assert_eq!(names(&lone.callees), ["lone"]);
+        assert!(lone.structs.is_empty());
     }
 
     #[test]

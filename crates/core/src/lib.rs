@@ -49,7 +49,7 @@ pub use ctx::{Binding, HeapCtx, RegionId, TrackCtx, TypeState, VarCtx, VarTrack}
 pub use derivation::{CallInfo, DerivBuilder, DerivNode, Derivation, Rule, ValInfo};
 pub use env::{FnSig, Globals};
 pub use error::TypeError;
-pub use fingerprint::{fn_fingerprint, program_fingerprints, Fingerprint};
+pub use fingerprint::{fn_deps, fn_fingerprint, program_fingerprints, Fingerprint, FnDeps};
 pub use flowfacts::{flow_facts, DisconnectFact, FieldAssignFact, FnFlowFacts, SendFact, TakeFact};
 pub use mode::{CheckerMode, CheckerOptions};
 pub use search::SearchHints;
