@@ -102,7 +102,7 @@ fn main() {
     std::fs::write("BENCH_chaos.json", &chaos_json).expect("write BENCH_chaos.json");
     println!("wrote BENCH_chaos.json ({} bytes)", chaos_json.len());
 
-    println!("\n== E12: observability layer snapshot (fearless-obs) ==");
+    println!("\n== E12: observability layer snapshot (fearless-trace) ==");
     let obs_json = fearless_bench::obs_snapshot();
     std::fs::write("BENCH_obs.json", &obs_json).expect("write BENCH_obs.json");
     println!(

@@ -521,7 +521,7 @@ pub fn render_incr_snapshot(s: &IncrSnapshot) -> String {
 /// `fearless-incr` driver over a ≥1000-function `fearless-synth`
 /// program, serial vs. parallel vs. cold/warm cached, with the
 /// topological scheduler's deterministic cost model and the
-/// `fearless-obs` journal-identity check.
+/// journal-identity check.
 #[derive(Debug, Clone)]
 pub struct SynthSnapshot {
     /// Synthesizer seed.
@@ -551,7 +551,7 @@ pub struct SynthSnapshot {
     /// runners may be single-core, where wall parallel speedup is
     /// unmeasurable by construction.
     pub model_speedup_x100: u64,
-    /// Whether the cold, warm, serial, and parallel `fearless-obs`
+    /// Whether the cold, warm, serial, and parallel
     /// journals were byte-identical (must stay true).
     pub journal_identical: bool,
     /// Journal entries (identical across the four runs when
@@ -573,8 +573,7 @@ pub struct SynthSnapshot {
 /// schedule shape + cost model from the parallel run.
 pub fn synth_snapshot(jobs: usize, generated: usize) -> SynthSnapshot {
     use fearless_incr::{check_units, sched, DiskCache};
-    use fearless_obs::Journal;
-    use fearless_trace::{MemorySink, Tracer};
+    use fearless_trace::{Journal, MemorySink, Tracer};
     use std::time::Instant;
 
     let opts_synth = fearless_synth::SynthOptions {
@@ -809,8 +808,8 @@ pub fn render_chaos_snapshot(s: &ChaosSnapshot) -> String {
     .render()
 }
 
-/// E12: exercises the `fearless-obs` layer end to end — a full corpus
-/// check journaled through the replayed trace, plus the chaos scenario
+/// E12: exercises the `fearless-trace` telemetry end to end — a full
+/// corpus check journaled through the replayed trace, plus the chaos scenario
 /// corpus run deterministically with per-machine lanes — and renders
 /// the journal sizes, lane totals, and merged histogram shapes as the
 /// `fearless-obs-bench/1` document (`BENCH_obs.json`). Every counter
@@ -818,9 +817,8 @@ pub fn render_chaos_snapshot(s: &ChaosSnapshot) -> String {
 /// the document doubles as the `bench-diff` CI baseline.
 pub fn obs_snapshot() -> String {
     use fearless_incr::check_units;
-    use fearless_obs::{HistogramSet, Journal};
     use fearless_runtime::{DisconnectStrategy, Machine, MachineConfig};
-    use fearless_trace::{Json, MemorySink, Tracer};
+    use fearless_trace::{HistogramSet, Journal, Json, MemorySink, Tracer};
     use std::time::Instant;
 
     let t = Instant::now();
@@ -875,7 +873,7 @@ pub fn obs_snapshot() -> String {
             .into_any()
             .downcast::<MemorySink>()
             .expect("sink is a MemorySink");
-        let journal = Journal::from_run(&run_sink, machine.lanes(), machine.stats());
+        let journal = fearless_runtime::run_journal(&run_sink, machine.lanes(), machine.stats());
         run_entries += journal.entries.len() as u64;
         run_hists.merge(&journal.histograms);
         let stats = machine.stats();
@@ -1007,8 +1005,8 @@ mod tests {
     #[test]
     fn e12_obs_snapshot_is_deterministic_modulo_nondet() {
         let strip = |doc: &str| {
-            let parsed = fearless_incr::parse_json(doc).expect("snapshot parses");
-            fearless_obs::strip_nondet(&parsed).render()
+            let parsed = fearless_trace::parse_json(doc).expect("snapshot parses");
+            fearless_trace::strip_nondet(&parsed).render()
         };
         let a = obs_snapshot();
         let b = obs_snapshot();

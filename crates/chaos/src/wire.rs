@@ -595,12 +595,12 @@ mod tests {
         assert_eq!(one.outcomes, two.outcomes);
         // The BENCH documents agree modulo `_nondet` — a 0-regression
         // bench-diff, which is exactly what CI gates on.
-        let parse = |t: &str| fearless_incr::parse_json(t).unwrap();
-        let diff = fearless_obs::bench_diff(&parse(&one.to_json()), &parse(&two.to_json()), 0);
+        let parse = |t: &str| fearless_trace::parse_json(t).unwrap();
+        let diff = fearless_trace::bench_diff(&parse(&one.to_json()), &parse(&two.to_json()), 0);
         assert!(!diff.has_regressions(), "{}", diff.render());
         assert_eq!(
-            fearless_obs::strip_nondet(&parse(&one.to_json())).render(),
-            fearless_obs::strip_nondet(&parse(&two.to_json())).render(),
+            fearless_trace::strip_nondet(&parse(&one.to_json())).render(),
+            fearless_trace::strip_nondet(&parse(&two.to_json())).render(),
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,5 @@
 //! `fearlessc bench-diff` and `strip-nondet`: the BENCH_*.json document
-//! tools (`fearless-obs`).
+//! tools (`fearless-trace`).
 
 use crate::load_source;
 
@@ -14,9 +14,9 @@ pub(crate) fn bench_diff(
 ) -> Result<String, String> {
     let old_text = load_source(old).map_err(|(m, _)| m)?;
     let new_text = load_source(new).map_err(|(m, _)| m)?;
-    let old = fearless_incr::parse_json(&old_text).ok_or("old document is not valid JSON")?;
-    let new = fearless_incr::parse_json(&new_text).ok_or("new document is not valid JSON")?;
-    let report = fearless_obs::bench_diff(&old, &new, threshold_pct);
+    let old = fearless_trace::parse_json(&old_text).ok_or("old document is not valid JSON")?;
+    let new = fearless_trace::parse_json(&new_text).ok_or("new document is not valid JSON")?;
+    let report = fearless_trace::bench_diff(&old, &new, threshold_pct);
     let out = if json {
         report.to_json_value().render()
     } else {
@@ -33,6 +33,6 @@ pub(crate) fn bench_diff(
 /// `_nondet`-tagged field removed.
 pub(crate) fn strip_nondet(path: &str) -> Result<String, String> {
     let text = load_source(path).map_err(|(m, _)| m)?;
-    let doc = fearless_incr::parse_json(&text).ok_or("input is not valid JSON")?;
-    Ok(fearless_obs::strip_nondet(&doc).render())
+    let doc = fearless_trace::parse_json(&text).ok_or("input is not valid JSON")?;
+    Ok(fearless_trace::strip_nondet(&doc).render())
 }

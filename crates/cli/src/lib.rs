@@ -10,7 +10,7 @@
 //! error. Each command lives in its own module and executes from its
 //! parsed struct; the four telemetry flags travel as one [`Telemetry`].
 //!
-//! The observability surface (`fearless-obs`) hangs off most commands:
+//! The observability surface (`fearless-trace`) hangs off most commands:
 //! `--obs <file>` writes the deterministic event journal (schema
 //! `fearless-obs/1`, byte-identical across cold/warm/serial/parallel
 //! runs), `--trace-out <file>` writes a Chrome trace-event / Perfetto
@@ -73,10 +73,10 @@ pub enum Command {
     Lint(Lint),
     /// Check, then run an entry function on the abstract machine.
     Run(Run),
-    /// Per-machine runtime telemetry (`fearless-obs`).
+    /// Per-machine runtime telemetry.
     Report(Report),
     /// Compare two BENCH_*.json counter documents against thresholds;
-    /// exits nonzero on regression (`fearless-obs`).
+    /// exits nonzero on regression (`fearless-trace`).
     BenchDiff {
         /// Baseline document path.
         old: String,
@@ -209,7 +209,7 @@ USAGE:
   full walk and reports any disagreement — the differential soundness
   oracle for the flow analysis.
 
-  the observability layer (fearless-obs, docs/OBSERVABILITY.md):
+  the observability layer (fearless-trace, docs/OBSERVABILITY.md):
   --obs <file> writes the structured event journal, schema
   fearless-obs/1, stamped with a monotonic logical clock
   (definition-order sequence when checking, scheduler step at runtime)

@@ -1,13 +1,89 @@
-//! `fearlessc report`: per-machine runtime telemetry (`fearless-obs`).
+//! `fearlessc report`: per-machine runtime telemetry — a top-style
+//! per-machine table and the equivalent machine-readable JSON.
+//!
+//! Input is the aggregate [`Stats`] plus one [`LaneStats`] per machine.
+//! Rows are sorted by steps descending (busiest machine first, ties by
+//! machine id), so the table reads like `top`: who did the work, whose
+//! mailbox backed up, who paid for the sanitizer.
 
 use fearless_core::CheckerOptions;
-use fearless_runtime::{Machine, MachineConfig, Value};
+use fearless_runtime::{LaneStats, Machine, MachineConfig, Stats, Value};
 use fearless_trace::{Json, MemorySink};
 
 use crate::args::{Args, Input, ARG, CORPUS, ENTRY, FLOW_FACTS, JSON, SANITIZE_DOMINATION, SERVE};
 use crate::run::{machine, with_sink};
 use crate::telemetry::{write_file, Telemetry};
 use crate::Command;
+
+/// Schema identifier for the JSON report document.
+const SCHEMA: &str = "fearless-obs-report/1";
+
+/// Projection from a lane to one table cell.
+type Column = (&'static str, fn(&LaneStats) -> u64);
+
+/// Column layout shared by the header and the rows: short label plus
+/// the `LaneStats` field it projects.
+const COLUMNS: &[Column] = &[
+    ("steps", |l| l.steps),
+    ("sends", |l| l.sends),
+    ("recvs", |l| l.recvs),
+    ("peak_mb", |l| l.peak_mailbox_depth),
+    ("wait", |l| l.mailbox_wait_steps),
+    ("disc", |l| l.disconnect_checks),
+    ("visited", |l| l.disconnect_visited),
+    ("walks", |l| l.sanitize_walks),
+    ("partial", |l| l.sanitize_partial_walks),
+    ("skipped", |l| l.sanitize_skipped),
+    ("edges", |l| l.sanitize_edges),
+];
+
+fn busiest_first(lanes: &[LaneStats]) -> Vec<(usize, &LaneStats)> {
+    let mut rows: Vec<(usize, &LaneStats)> = lanes.iter().enumerate().collect();
+    rows.sort_by(|(ia, a), (ib, b)| b.steps.cmp(&a.steps).then(ia.cmp(ib)));
+    rows
+}
+
+/// Renders the top-style table. `entry` names what was run (entry
+/// function or scenario) and heads the report.
+fn render_report(entry: &str, stats: &Stats, lanes: &[LaneStats]) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "report: {} ({} machines, {} steps)\n",
+        entry, stats.machines, stats.steps
+    ));
+    out.push_str(&format!("{:>8}", "machine"));
+    for (label, _) in COLUMNS {
+        out.push_str(&format!(" {label:>8}"));
+    }
+    out.push('\n');
+    for (id, lane) in busiest_first(lanes) {
+        out.push_str(&format!("{id:>8}"));
+        for (_, project) in COLUMNS {
+            out.push_str(&format!(" {:>8}", project(lane)));
+        }
+        out.push('\n');
+    }
+    out.push_str(&format!(
+        "   total {:>8} {:>8} {:>8} {:>8}\n",
+        stats.steps, stats.sends, stats.recvs, stats.peak_mailbox_depth
+    ));
+    out
+}
+
+/// The same report as a JSON document (schema `fearless-obs-report/1`):
+/// aggregate stats plus one lane object per machine, in machine-id
+/// order.
+fn report_json(entry: &str, stats: &Stats, lanes: &[LaneStats]) -> Json {
+    Json::obj([
+        ("schema", Json::str(SCHEMA)),
+        ("entry", Json::str(entry)),
+        ("stats", stats.to_json_value()),
+        (
+            "machines",
+            Json::Arr(lanes.iter().map(|l| l.to_json_value()).collect()),
+        ),
+    ])
+}
 
 /// `fearlessc report`: run a program (or the chaos scenario corpus) and
 /// render a top-style lane table or machine JSON, or render a
@@ -95,9 +171,9 @@ impl Report {
         })?;
         let (stats, lanes) = (machine.stats(), machine.lanes());
         let out = if self.json {
-            fearless_obs::report_json(entry, stats, lanes).render()
+            report_json(entry, stats, lanes).render()
         } else {
-            fearless_obs::render_report(entry, stats, lanes)
+            render_report(entry, stats, lanes)
         };
         self.telemetry.finish(&sink, Some(&machine), out)
     }
@@ -135,26 +211,23 @@ impl Report {
             if self.json {
                 json_entries.push(Json::obj([
                     ("name", Json::str(scenario.name)),
-                    (
-                        "report",
-                        fearless_obs::report_json(scenario.name, stats, lanes),
-                    ),
+                    ("report", report_json(scenario.name, stats, lanes)),
                 ]));
             } else {
-                out.push_str(&fearless_obs::render_report(scenario.name, stats, lanes));
+                out.push_str(&render_report(scenario.name, stats, lanes));
                 out.push('\n');
             }
             if obs.is_some() {
-                let journal = fearless_obs::Journal::from_run(&sink, lanes, stats);
+                let journal = fearless_runtime::run_journal(&sink, lanes, stats);
                 journal_entries.push(Json::obj([
                     ("name", Json::str(scenario.name)),
                     ("journal", journal.to_json_value()),
                 ]));
             }
             if trace_out.is_some() {
-                trace_events.extend(fearless_obs::perfetto::run_events_pid(
+                trace_events.extend(fearless_trace::perfetto::run_events_pid(
                     &sink,
-                    lanes,
+                    lanes.len(),
                     2 + i as u64,
                     scenario.name,
                 ));
@@ -168,7 +241,7 @@ impl Report {
             write_file(path, "journal", &doc.render())?;
         }
         if let Some(path) = trace_out {
-            let doc = fearless_obs::perfetto::document(trace_events);
+            let doc = fearless_trace::perfetto::document(trace_events);
             write_file(path, "trace", &doc.render())?;
         }
         if self.json {
@@ -180,5 +253,77 @@ impl Report {
         } else {
             Ok(out)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_sorts_busiest_first_and_is_deterministic() {
+        let a = LaneStats {
+            steps: 3,
+            ..LaneStats::default()
+        };
+        let b = LaneStats {
+            steps: 9,
+            sends: 2,
+            ..LaneStats::default()
+        };
+        let stats = Stats {
+            steps: 12,
+            machines: 2,
+            ..Stats::default()
+        };
+        let table = render_report("main", &stats, &[a, b]);
+        assert_eq!(table, render_report("main", &stats, &[a, b]));
+        let row_b = table
+            .lines()
+            .position(|l| l.trim_start().starts_with("1 "))
+            .unwrap();
+        let row_a = table
+            .lines()
+            .position(|l| l.trim_start().starts_with("0 "))
+            .unwrap();
+        assert!(row_b < row_a, "busiest machine must come first:\n{table}");
+        assert!(
+            table.contains("report: main (2 machines, 12 steps)"),
+            "{table}"
+        );
+    }
+
+    #[test]
+    fn table_columns_cover_every_lane_field() {
+        // The report must never silently drop a lane counter: the column
+        // table projects each `LaneStats` field exactly once.
+        assert_eq!(COLUMNS.len(), LaneStats::default().fields().len());
+        let mut lane = LaneStats {
+            steps: 1,
+            sends: 2,
+            recvs: 3,
+            peak_mailbox_depth: 4,
+            mailbox_wait_steps: 5,
+            disconnect_checks: 6,
+            disconnect_visited: 7,
+            sanitize_walks: 8,
+            sanitize_partial_walks: 9,
+            sanitize_skipped: 10,
+            sanitize_edges: 11,
+        };
+        let mut seen: Vec<u64> = COLUMNS.iter().map(|(_, p)| p(&lane)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=11).collect::<Vec<u64>>());
+        lane.steps = 100;
+        assert_eq!(COLUMNS[0].1(&lane), 100);
+    }
+
+    #[test]
+    fn json_report_carries_schema_and_lanes() {
+        let stats = Stats::default();
+        let lanes = [LaneStats::default()];
+        let json = report_json("main", &stats, &lanes).render();
+        assert!(json.contains("fearless-obs-report/1"), "{json}");
+        assert!(json.contains("\"machines\""), "{json}");
     }
 }

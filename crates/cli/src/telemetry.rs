@@ -3,7 +3,7 @@
 //! finish step every tracing command shares.
 
 use fearless_runtime::Machine;
-use fearless_trace::{MemorySink, Tracer};
+use fearless_trace::{perfetto, Journal, MemorySink, Tracer};
 
 use crate::args::{Args, METRICS, OBS, TRACE, TRACE_OUT};
 
@@ -67,21 +67,17 @@ impl Telemetry {
     ) -> Result<String, String> {
         if let Some(path) = &self.obs {
             let journal = match machine {
-                Some(m) => fearless_obs::Journal::from_run(sink, m.lanes(), m.stats()),
-                None => fearless_obs::Journal::from_check_sink(sink),
+                Some(m) => fearless_runtime::run_journal(sink, m.lanes(), m.stats()),
+                None => Journal::from_check_sink(sink),
             };
             write_file(path, "journal", &journal.render())?;
         }
         if let Some(path) = &self.trace_out {
-            let mut events = fearless_obs::perfetto::check_events(sink);
+            let mut events = perfetto::check_events(sink);
             if let Some(m) = machine {
-                events.extend(fearless_obs::perfetto::run_events(sink, m.lanes()));
+                events.extend(perfetto::run_events(sink, m.lanes().len()));
             }
-            write_file(
-                path,
-                "trace",
-                &fearless_obs::perfetto::document(events).render(),
-            )?;
+            write_file(path, "trace", &perfetto::document(events).render())?;
         }
         if let Some(path) = &self.trace {
             write_file(path, "trace", &sink.to_json())?;

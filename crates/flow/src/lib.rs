@@ -384,7 +384,7 @@ mod tests {
         let b = flow_of(LIST).to_json();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"fearless-flow/1\""));
-        assert!(fearless_incr::parse_json(&a).is_some(), "round-trips");
+        assert!(fearless_trace::parse_json(&a).is_some(), "round-trips");
     }
 
     #[test]

@@ -59,7 +59,7 @@ use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 
 use fearless_core::Fingerprint;
-use fearless_trace::Json;
+use fearless_trace::{parse_json, Json};
 
 /// File name of the check table inside the cache directory.
 pub const CACHE_FILE: &str = CheckTable::FILE;
@@ -267,9 +267,9 @@ impl CachedOutcome {
                     }
                 }
                 Some(CachedOutcome::Ok {
-                    nodes: as_u64(v.take("nodes")?)?,
-                    vir_steps: as_u64(v.take("vir_steps")?)?,
-                    search_nodes: as_u64(v.take("search_nodes")?)?,
+                    nodes: v.get("nodes")?.as_u64()?,
+                    vir_steps: v.get("vir_steps")?.as_u64()?,
+                    search_nodes: v.get("search_nodes")?.as_u64()?,
                     counters,
                 })
             }
@@ -278,18 +278,11 @@ impl CachedOutcome {
                     Json::Str(s) => s,
                     _ => return None,
                 },
-                span_lo: as_u64(v.take("span_lo")?)? as u32,
-                span_hi: as_u64(v.take("span_hi")?)? as u32,
+                span_lo: v.get("span_lo")?.as_u64()? as u32,
+                span_hi: v.get("span_hi")?.as_u64()? as u32,
             }),
             _ => None,
         }
-    }
-}
-
-fn as_u64(v: Json) -> Option<u64> {
-    match v {
-        Json::U64(n) => Some(n),
-        _ => None,
     }
 }
 
@@ -647,165 +640,10 @@ impl CheckTable {
     }
 }
 
-/// Deepest array/object nesting [`parse_json`] accepts. The reader
-/// recurses once per level, so without a bound a frame of nested `[`
-/// would overflow the stack — an abort, not a panic. Everything the
-/// workspace renders nests fewer than ten levels deep.
-pub const MAX_DEPTH: usize = 128;
-
-/// Parses the JSON subset `fearless_trace::Json::render` and
-/// `render_compact` emit: objects, arrays, strings with the renderer's
-/// escapes, unsigned integers, booleans and null, with exactly one comma
-/// between members and none after the last. Returns `None` on any
-/// malformed input, including nesting deeper than [`MAX_DEPTH`]. Inside
-/// a token it is lenient: raw control characters in strings and leading
-/// zeros in integers parse, so a bit flip there surfaces as a cache
-/// checksum mismatch rather than a parse failure.
-///
-/// One linear pass: each run of unescaped string bytes is copied as a
-/// single slice.
-pub fn parse_json(text: &str) -> Option<Json> {
-    let mut reader = Reader { text, pos: 0 };
-    let v = reader.value(0)?;
-    reader.skip_ws();
-    (reader.pos == text.len()).then_some(v)
-}
-
-/// Cursor over the already UTF-8-validated document.
-struct Reader<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Skips whitespace and consumes `byte` if it comes next.
-    fn eat(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        let hit = self.peek() == Some(byte);
-        if hit {
-            self.pos += 1;
-        }
-        hit
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Option<Json> {
-        self.text[self.pos..].starts_with(word).then(|| {
-            self.pos += word.len();
-            v
-        })
-    }
-
-    /// Parses `[ item (, item)* ]` or `{ member (, member)* }` after the
-    /// opening bracket, calling `item` once per element.
-    fn members(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        if self.eat(close) {
-            return Some(());
-        }
-        loop {
-            item(self)?;
-            if self.eat(close) {
-                return Some(());
-            }
-            if !self.eat(b',') {
-                return None;
-            }
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Option<Json> {
-        self.skip_ws();
-        match self.peek()? {
-            b'{' | b'[' if depth >= MAX_DEPTH => None,
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.members(b'}', |r| {
-                    r.skip_ws();
-                    let key = r.string()?;
-                    if !r.eat(b':') {
-                        return None;
-                    }
-                    fields.push((key, r.value(depth + 1)?));
-                    Some(())
-                })?;
-                Some(Json::Obj(fields))
-            }
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.members(b']', |r| {
-                    items.push(r.value(depth + 1)?);
-                    Some(())
-                })?;
-                Some(Json::Arr(items))
-            }
-            b'"' => self.string().map(Json::Str),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'0'..=b'9' => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                self.text[start..self.pos].parse().ok().map(Json::U64)
-            }
-            _ => None,
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.peek()? != b'"' {
-            return None;
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            // `"` and `\` are ASCII, so the run of plain bytes before the
-            // next one ends on a char boundary of the validated text (the
-            // renderer leaves non-ASCII unescaped).
-            let rest = &self.text.as_bytes()[self.pos..];
-            let run = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
-            out.push_str(&self.text[self.pos..self.pos + run]);
-            self.pos += run + 1;
-            if rest[run] == b'"' {
-                return Some(out);
-            }
-            let escaped = match self.peek()? {
-                b'"' => '"',
-                b'\\' => '\\',
-                b'n' => '\n',
-                b'r' => '\r',
-                b't' => '\t',
-                b'u' => {
-                    let hex = self.text.get(self.pos + 1..self.pos + 5)?;
-                    if !hex.bytes().all(|c| c.is_ascii_hexdigit()) {
-                        return None;
-                    }
-                    self.pos += 4;
-                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
-                }
-                _ => return None,
-            };
-            out.push(escaped);
-            self.pos += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fearless_trace::MAX_DEPTH;
 
     /// The check table's advisory lock file.
     const LOCK: &str = "check-cache.lock";
@@ -849,6 +687,8 @@ mod tests {
         assert_eq!(parsed.render(), text);
     }
 
+    // Every cache document loads through `parse_json`: the tests below
+    // pin the grammar the loader relies on to reject torn documents.
     #[test]
     fn renderer_grammar_parses() {
         let v = parse_json("{\"a\": [1, {\"b\": []}], \"c\": {}, \"d\": \"x\\u0001y\"}").unwrap();

@@ -37,9 +37,10 @@ use fearless_core::{check, CheckerOptions, Fingerprint, TypeError};
 use fearless_syntax::{Program, Span};
 use fearless_trace::{MemorySink, Tracer};
 
-pub use disk::{
-    checksum_hex, parse_json, CachedOutcome, CheckTable, DiskCache, LoadOutcome, Store, Table,
-};
+pub use disk::{checksum_hex, CachedOutcome, CheckTable, DiskCache, LoadOutcome, Store, Table};
+/// The reader the cache documents are loaded with; `perfbench` calls it
+/// through this path.
+pub use fearless_trace::parse_json;
 pub use wal::{CacheWal, WalRecord, WalReplay};
 
 /// Every counter name a `check` span can carry, used to re-intern

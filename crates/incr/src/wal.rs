@@ -37,9 +37,9 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use fearless_trace::Json;
+use fearless_trace::{parse_json, Json};
 
-use crate::disk::{checksum_hex, parse_json, CachedOutcome};
+use crate::disk::{checksum_hex, CachedOutcome};
 
 /// WAL file name inside the cache directory (next to
 /// [`crate::disk::CACHE_FILE`]).

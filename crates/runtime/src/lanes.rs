@@ -5,15 +5,18 @@
 //! run did, while a [`LaneStats`] per machine answers *who* did it —
 //! which machine processed the messages, whose mailbox backed up, and
 //! which machine paid for the domination-sanitizer walks. `fearlessc
-//! report` renders these lanes as a top-style table, and the Perfetto
-//! exporter in `fearless-obs` turns them into one timeline lane per
+//! report` renders these lanes as a top-style table, [`run_journal`]
+//! closes the runtime event journal with one entry per lane, and the
+//! Perfetto exporter in `fearless-trace` draws one timeline lane per
 //! machine.
 //!
 //! Every counter is a deterministic work unit (no wall clock): two runs
 //! of the same program under the same schedule produce byte-identical
 //! lanes.
 
-use fearless_trace::Json;
+use fearless_trace::{Journal, JournalEntry, Json, MemorySink};
+
+use crate::Stats;
 
 /// Telemetry counters for one machine (thread), all in deterministic
 /// work units.
@@ -73,9 +76,100 @@ impl LaneStats {
     }
 }
 
+/// Builds the runtime journal (schema `fearless-obs/1`) from the
+/// machine's sink, lanes, and final stats. Events are clocked by the
+/// scheduler step stamped on them; per-machine lane summaries and the
+/// aggregate stats close the journal at the final step.
+pub fn run_journal(sink: &MemorySink, lanes: &[LaneStats], stats: &Stats) -> Journal {
+    let mut journal = Journal {
+        source: "run".to_string(),
+        ..Journal::default()
+    };
+    for scope in sink.scopes() {
+        for event in &scope.events {
+            let clock = event.field("step").unwrap_or(0);
+            match event.name {
+                "message" => {
+                    if let Some(depth) = event.field("depth") {
+                        journal.histograms.record("run.mailbox_depth", depth);
+                    }
+                    if let Some(waited) = event.field("waited") {
+                        journal.histograms.record("run.mailbox_wait_steps", waited);
+                    }
+                }
+                "disconnect" => {
+                    if let Some(visited) = event.field("visited") {
+                        journal.histograms.record("run.disconnect_visited", visited);
+                    }
+                }
+                _ => {}
+            }
+            journal
+                .entries
+                .push(JournalEntry::event(clock, "run", &journal.source, event));
+        }
+    }
+    journal.entries.sort_by_key(|e| e.clock);
+    for (id, lane) in lanes.iter().enumerate() {
+        journal.histograms.record("run.machine_steps", lane.steps);
+        journal
+            .histograms
+            .record("run.machine_sanitize_edges", lane.sanitize_edges);
+        journal.entries.push(JournalEntry {
+            clock: stats.steps,
+            phase: "lane".to_string(),
+            name: format!("machine{id}"),
+            event: "lane".to_string(),
+            fields: lane
+                .fields()
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
+        });
+    }
+    journal.entries.push(JournalEntry {
+        clock: stats.steps,
+        phase: "stats".to_string(),
+        name: "total".to_string(),
+        event: "stats".to_string(),
+        fields: stats
+            .fields()
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect(),
+    });
+    journal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fearless_trace::TraceSink;
+
+    #[test]
+    fn run_journal_clocks_by_step_and_closes_with_lanes() {
+        let mut sink = MemorySink::new();
+        sink.event("message", &[("step", 4), ("depth", 2), ("waited", 3)]);
+        sink.event("disconnect", &[("step", 7), ("visited", 5)]);
+        let lanes = [LaneStats::default(), LaneStats::default()];
+        let stats = Stats {
+            steps: 9,
+            ..Stats::default()
+        };
+        let journal = run_journal(&sink, &lanes, &stats);
+        let clocks: Vec<u64> = journal.entries.iter().map(|e| e.clock).collect();
+        let mut sorted = clocks.clone();
+        sorted.sort_unstable();
+        assert_eq!(clocks, sorted, "clock must be monotonic");
+        assert_eq!(journal.entries.last().unwrap().event, "stats");
+        assert!(journal
+            .entries
+            .iter()
+            .any(|e| e.phase == "lane" && e.name == "machine1"));
+        let rendered = journal.render();
+        assert!(rendered.contains("run.mailbox_depth"), "{rendered}");
+        assert!(rendered.contains("run.mailbox_wait_steps"), "{rendered}");
+    }
 
     #[test]
     fn lane_json_is_deterministic_and_exhaustive() {

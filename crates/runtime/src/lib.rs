@@ -54,7 +54,7 @@ pub use error::RuntimeError;
 pub use flow::{FlowIndex, StepSafety};
 pub use heap::{Heap, Object, StructLayout, TypeTable};
 pub use ir::{CompiledFn, CompiledProgram, Inst};
-pub use lanes::LaneStats;
+pub use lanes::{run_journal, LaneStats};
 pub use machine::{Machine, MachineConfig, Stats, Thread, ThreadStatus};
 pub use sanitize::{check_domination, check_domination_touched, DominationViolation};
 pub use schedule::{RoundRobin, Schedule, SeededRandom};

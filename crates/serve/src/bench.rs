@@ -20,8 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fearless_incr::disk::checksum_hex;
-use fearless_obs::{Histogram, HistogramSet, Journal, JournalEntry};
-use fearless_trace::Json;
+use fearless_trace::{parse_json, Histogram, HistogramSet, Journal, JournalEntry, Json};
 
 use crate::client::{splitmix, stat_counter, Client};
 use crate::protocol::{codes, WORK_KINDS};
@@ -382,7 +381,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchOutcome, String> {
         fields.push((
             format!(
                 "latency_lt_{}_micros_nondet",
-                fearless_obs::bucket_hi(bucket)
+                fearless_trace::bucket_hi(bucket)
             ),
             Json::U64(count),
         ));
@@ -430,13 +429,6 @@ fn wait_for_work_requests(c: &mut Client, want: u64) -> Result<(), String> {
 
 /// Parses the histograms object out of a stats payload.
 fn stats_histograms(stats_output: &str) -> Option<HistogramSet> {
-    let doc = fearless_incr::parse_json(stats_output)?;
-    let Json::Obj(fields) = &doc else {
-        return None;
-    };
-    let hists = fields
-        .iter()
-        .find(|(n, _)| n == "histograms")
-        .map(|(_, v)| v)?;
-    HistogramSet::from_json_value(hists)
+    let doc = parse_json(stats_output)?;
+    HistogramSet::from_json_value(doc.get("histograms")?)
 }

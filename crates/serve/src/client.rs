@@ -514,19 +514,12 @@ fn wait_for_queue_depth(c: &mut Client, want: u64) -> Result<(), String> {
 /// Reads one counter out of a rendered stats document (0 when absent
 /// or unparseable).
 pub fn stat_counter(stats_output: &str, name: &str) -> u64 {
-    use fearless_trace::Json;
-    let Some(doc) = fearless_incr::parse_json(stats_output) else {
+    let Some(doc) = fearless_trace::parse_json(stats_output) else {
         return 0;
     };
-    let get = |v: &Json, k: &str| -> Option<Json> {
-        match v {
-            Json::Obj(fields) => fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone()),
-            _ => None,
-        }
-    };
-    let counters = get(&doc, "counters").unwrap_or(Json::Null);
-    match get(&counters, name).or_else(|| get(&doc, name)) {
-        Some(Json::U64(n)) => n,
-        _ => 0,
-    }
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .or_else(|| doc.get(name))
+        .and_then(fearless_trace::Json::as_u64)
+        .unwrap_or(0)
 }

@@ -18,7 +18,7 @@
 
 use std::io::{Read, Write};
 
-use fearless_trace::Json;
+use fearless_trace::{parse_json, Json};
 
 /// Schema tag carried by every request and response document.
 pub const SCHEMA: &str = "fearless-serve/1";
@@ -197,27 +197,19 @@ impl Response {
 
     /// Parses a response document.
     pub fn from_json(text: &str) -> Option<Response> {
-        let mut root = fearless_incr::parse_json(text)?;
+        let mut root = parse_json(text)?;
         if !matches!(root.take("schema"), Some(Json::Str(s)) if s == SCHEMA) {
             return None;
         }
         let Some(Json::Str(status)) = root.take("status") else {
             return None;
         };
-        let Some(Json::U64(code)) = root.take("code") else {
-            return None;
-        };
+        let code = root.get("code")?.as_u64()?;
         let Some(Json::Str(output)) = root.take("output") else {
             return None;
         };
-        let retry_after_millis = match root.take("retry_after_millis") {
-            Some(Json::U64(n)) => Some(n),
-            _ => None,
-        };
-        let cost = match root.take("cost_nodes") {
-            Some(Json::U64(n)) => Some(n),
-            _ => None,
-        };
+        let retry_after_millis = root.get("retry_after_millis").and_then(Json::as_u64);
+        let cost = root.get("cost_nodes").and_then(Json::as_u64);
         let stale = matches!(root.take("stale"), Some(Json::Bool(true)));
         Some(Response {
             status,
@@ -338,7 +330,7 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, (u64, String)> {
             format!("frame body is not a `{SCHEMA}` request object"),
         )
     };
-    let mut root = fearless_incr::parse_json(text).ok_or_else(malformed)?;
+    let mut root = parse_json(text).ok_or_else(malformed)?;
     if !matches!(root.take("schema"), Some(Json::Str(s)) if s == SCHEMA) {
         return Err(malformed());
     }

@@ -4,7 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use fearless_trace::Json;
+use fearless_trace::journal::SCHEMA;
+use fearless_trace::{parse_json, HistogramSet, Json};
 
 use crate::protocol::codes;
 
@@ -36,30 +37,11 @@ const COLUMNS: &[Column] = &[
     ("profile", |l| l.profiles),
 ];
 
-fn get<'a>(json: &'a Json, key: &str) -> Option<&'a Json> {
-    let Json::Obj(fields) = json else {
-        return None;
-    };
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(json: &Json, key: &str) -> Option<u64> {
-    match get(json, key)? {
-        Json::U64(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(json: &'a Json, key: &str) -> Option<&'a str> {
-    match get(json, key)? {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 fn entry_field(entry: &Json, name: &str) -> u64 {
-    get(entry, "fields")
-        .and_then(|f| get_u64(f, name))
+    entry
+        .get("fields")
+        .and_then(|f| f.get(name))
+        .and_then(Json::as_u64)
         .unwrap_or(0)
 }
 
@@ -71,22 +53,20 @@ fn entry_field(entry: &Json, name: &str) -> u64 {
 /// Rejects text that is not a journal document or whose source is not
 /// `serve-bench`.
 pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
-    let doc =
-        fearless_incr::parse_json(journal_text).ok_or_else(|| "not a JSON document".to_string())?;
-    let schema = get_str(&doc, "schema").unwrap_or("");
-    if schema != fearless_obs::SCHEMA {
+    let doc = parse_json(journal_text).ok_or_else(|| "not a JSON document".to_string())?;
+    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+    if schema != SCHEMA {
         return Err(format!(
-            "expected a `{}` journal, got schema `{schema}`",
-            fearless_obs::SCHEMA
+            "expected a `{SCHEMA}` journal, got schema `{schema}`"
         ));
     }
-    let source = get_str(&doc, "source").unwrap_or("");
+    let source = doc.get("source").and_then(Json::as_str).unwrap_or("");
     if source != "serve-bench" {
         return Err(format!(
             "`report --serve` wants a serve-bench journal, got source `{source}`"
         ));
     }
-    let Some(Json::Arr(entries)) = get(&doc, "entries") else {
+    let Some(Json::Arr(entries)) = doc.get("entries") else {
         return Err("journal has no entries array".to_string());
     };
 
@@ -95,8 +75,8 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut guard: Vec<(String, u64)> = Vec::new();
     for entry in entries {
-        let name = get_str(entry, "name").unwrap_or("");
-        let event = get_str(entry, "event").unwrap_or("");
+        let name = entry.get("name").and_then(Json::as_str).unwrap_or("");
+        let event = entry.get("event").and_then(Json::as_str).unwrap_or("");
         if name == "drill" && event == "shed" {
             drill = Some((
                 entry_field(entry, "requests"),
@@ -105,7 +85,7 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
             continue;
         }
         if name == "guard" && event == "counters" {
-            if let Some(Json::Obj(fields)) = get(entry, "fields") {
+            if let Some(Json::Obj(fields)) = entry.get("fields") {
                 for (k, v) in fields {
                     if let Json::U64(n) = v {
                         guard.push((k.clone(), *n));
@@ -115,7 +95,7 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
             continue;
         }
         if name == "stats" && event == "counters" {
-            if let Some(Json::Obj(fields)) = get(entry, "fields") {
+            if let Some(Json::Obj(fields)) = entry.get("fields") {
                 for (k, v) in fields {
                     if let Json::U64(n) = v {
                         counters.push((k.clone(), *n));
@@ -129,7 +109,8 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
         }
         let lane = lanes.entry(name.to_string()).or_default();
         lane.requests += 1;
-        lane.bytes += entry_field(entry, "bytes");
+        // Byte counts come from a journal file: saturate, never wrap.
+        lane.bytes = lane.bytes.saturating_add(entry_field(entry, "bytes"));
         match entry_field(entry, "code") {
             codes::OK => lane.ok += 1,
             codes::DIAGNOSTIC => lane.diag += 1,
@@ -153,7 +134,7 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
         t.requests += l.requests;
         t.ok += l.ok;
         t.diag += l.diag;
-        t.bytes += l.bytes;
+        t.bytes = t.bytes.saturating_add(l.bytes);
         t.checks += l.checks;
         t.lints += l.lints;
         t.flows += l.flows;
@@ -207,8 +188,8 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
     }
 
     // Queue-depth and response-size distributions, when present.
-    if let Some(hists) = get(&doc, "histograms") {
-        if let Some(set) = fearless_obs::HistogramSet::from_json_value(hists) {
+    if let Some(hists) = doc.get("histograms") {
+        if let Some(set) = HistogramSet::from_json_value(hists) {
             for (name, hist) in set.iter() {
                 if hist.count() == 0 {
                     continue;
@@ -229,7 +210,7 @@ pub fn render_serve_report(journal_text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fearless_obs::{Journal, JournalEntry};
+    use fearless_trace::{Journal, JournalEntry};
 
     fn sample_journal() -> Journal {
         let mut journal = Journal {
@@ -311,6 +292,35 @@ mod tests {
             table,
             render_serve_report(&sample_journal().render()).unwrap()
         );
+    }
+
+    #[test]
+    fn byte_totals_saturate() {
+        let mut journal = Journal {
+            source: "serve-bench".to_string(),
+            ..Journal::default()
+        };
+        for (clock, bytes) in [(0u64, u64::MAX), (1, 2)] {
+            journal.entries.push(JournalEntry {
+                clock,
+                phase: "serve".to_string(),
+                name: "client0".to_string(),
+                event: "check".to_string(),
+                fields: vec![
+                    ("bytes".to_string(), bytes),
+                    ("code".to_string(), codes::OK),
+                ],
+            });
+        }
+        let table = render_serve_report(&journal.render()).unwrap();
+        let max = u64::MAX.to_string();
+        let rows: Vec<&str> = table.lines().filter(|l| l.contains(&max)).collect();
+        assert_eq!(
+            rows.len(),
+            2,
+            "client row and totals row saturate:\n{table}"
+        );
+        assert!(rows[1].trim_start().starts_with("total"), "{table}");
     }
 
     #[test]

@@ -57,8 +57,7 @@ use fearless_core::CheckerOptions;
 use fearless_incr::disk::checksum_hex;
 use fearless_incr::wal::CacheWal;
 use fearless_incr::DiskCache;
-use fearless_obs::HistogramSet;
-use fearless_trace::{Json, MemorySink, TraceSink, Tracer};
+use fearless_trace::{HistogramSet, Json, MemorySink, TraceSink, Tracer};
 
 use crate::protocol::{self, codes, Frame, Request, Response};
 

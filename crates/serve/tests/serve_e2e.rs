@@ -187,7 +187,8 @@ fn serve_bench_is_deterministic_across_runs() {
 
     // Identical request streams → identical journals modulo `_nondet`.
     let strip = |text: &str| {
-        fearless_obs::strip_nondet(&fearless_incr::parse_json(text).expect("journal json")).render()
+        fearless_trace::strip_nondet(&fearless_trace::parse_json(text).expect("journal json"))
+            .render()
     };
     assert_eq!(
         strip(&one.journal_text),
@@ -198,9 +199,9 @@ fn serve_bench_is_deterministic_across_runs() {
     // The BENCH documents agree on every deterministic counter; only
     // `_nondet` leaves may differ — which is exactly a 0-regression
     // bench-diff at any threshold.
-    let b1 = fearless_incr::parse_json(&one.bench_text).expect("bench json 1");
-    let b2 = fearless_incr::parse_json(&two.bench_text).expect("bench json 2");
-    let diff = fearless_obs::bench_diff(&b1, &b2, 0);
+    let b1 = fearless_trace::parse_json(&one.bench_text).expect("bench json 1");
+    let b2 = fearless_trace::parse_json(&two.bench_text).expect("bench json 2");
+    let diff = fearless_trace::bench_diff(&b1, &b2, 0);
     assert!(
         !diff.has_regressions(),
         "deterministic counters drifted:\n{}",

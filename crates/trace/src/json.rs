@@ -5,7 +5,8 @@
 //! tree keeps object fields in insertion order and every producer feeds it
 //! from sorted containers, so the emitted bytes are identical across runs
 //! — the CI determinism gate and the golden-file tests compare them
-//! verbatim.
+//! verbatim. [`parse_json`] reads the rendered subset back, for the
+//! cache documents, the serve wire and the bench documents alike.
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -96,6 +97,31 @@ impl Json {
         };
         let (_, v) = fields.iter_mut().find(|(k, _)| k == key)?;
         Some(std::mem::replace(v, Json::Null))
+    }
+
+    /// The value of this object's first field named `key`. `None` when
+    /// `self` is not an object or has no such field.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        let Json::Obj(fields) = self else {
+            return None;
+        };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The number, when `self` is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string, when `self` is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// Renders the value as pretty-printed JSON with a trailing newline.
@@ -206,6 +232,162 @@ fn write_obj<'a>(
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The reader
+/// recurses once per level, so without a bound a frame of nested `[`
+/// would overflow the stack — an abort, not a panic. Everything the
+/// workspace renders nests fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses the JSON subset [`Json::render`] and [`Json::render_compact`]
+/// emit: objects, arrays, strings with the renderer's escapes, unsigned
+/// integers, booleans and null, with exactly one comma between members
+/// and none after the last. Returns `None` on any
+/// malformed input, including nesting deeper than [`MAX_DEPTH`]. Inside
+/// a token it is lenient: raw control characters in strings and leading
+/// zeros in integers parse, so a bit flip there surfaces as a cache
+/// checksum mismatch rather than a parse failure.
+///
+/// One linear pass: each run of unescaped string bytes is copied as a
+/// single slice.
+pub fn parse_json(text: &str) -> Option<Json> {
+    let mut reader = Reader { text, pos: 0 };
+    let v = reader.value(0)?;
+    reader.skip_ws();
+    (reader.pos == text.len()).then_some(v)
+}
+
+/// Cursor over the already UTF-8-validated document.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace and consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let hit = self.peek() == Some(byte);
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Option<Json> {
+        self.text[self.pos..].starts_with(word).then(|| {
+            self.pos += word.len();
+            v
+        })
+    }
+
+    /// Parses `[ item (, item)* ]` or `{ member (, member)* }` after the
+    /// opening bracket, calling `item` once per element.
+    fn members(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        if self.eat(close) {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if self.eat(close) {
+                return Some(());
+            }
+            if !self.eat(b',') {
+                return None;
+            }
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Option<Json> {
+        self.skip_ws();
+        match self.peek()? {
+            b'{' | b'[' if depth >= MAX_DEPTH => None,
+            b'{' => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                self.members(b'}', |r| {
+                    r.skip_ws();
+                    let key = r.string()?;
+                    if !r.eat(b':') {
+                        return None;
+                    }
+                    fields.push((key, r.value(depth + 1)?));
+                    Some(())
+                })?;
+                Some(Json::Obj(fields))
+            }
+            b'[' => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.members(b']', |r| {
+                    items.push(r.value(depth + 1)?);
+                    Some(())
+                })?;
+                Some(Json::Arr(items))
+            }
+            b'"' => self.string().map(Json::Str),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            b'n' => self.literal("null", Json::Null),
+            b'0'..=b'9' => {
+                let start = self.pos;
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+                self.text[start..self.pos].parse().ok().map(Json::U64)
+            }
+            _ => None,
+        }
+    }
+
+    fn string(&mut self) -> Option<String> {
+        if self.peek()? != b'"' {
+            return None;
+        }
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            // `"` and `\` are ASCII, so the run of plain bytes before the
+            // next one ends on a char boundary of the validated text (the
+            // renderer leaves non-ASCII unescaped).
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Some(out);
+            }
+            let escaped = match self.peek()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.text.get(self.pos + 1..self.pos + 5)?;
+                    if !hex.bytes().all(|c| c.is_ascii_hexdigit()) {
+                        return None;
+                    }
+                    self.pos += 4;
+                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+                }
+                _ => return None,
+            };
+            out.push(escaped);
+            self.pos += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +426,22 @@ mod tests {
         assert_eq!(v.take("k"), Some(Json::Null));
         assert_eq!(v.take("missing"), None);
         assert_eq!(Json::U64(3).take("k"), None);
+    }
+
+    #[test]
+    fn accessors_read_only_their_own_kind() {
+        let v = Json::obj([
+            ("n", Json::U64(4)),
+            ("s", Json::str("x")),
+            ("n", Json::U64(5)),
+        ]);
+        assert_eq!(v.get("n"), Some(&Json::U64(4)));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(Json::U64(3).get("n"), None);
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(4));
+        assert_eq!(v.get("s").and_then(Json::as_u64), None);
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
+        assert_eq!(v.get("n").and_then(Json::as_str), None);
     }
 
     #[test]

@@ -17,6 +17,16 @@ pub struct EventRecord {
     pub fields: Vec<(&'static str, u64)>,
 }
 
+impl EventRecord {
+    /// The value of the first payload field named `name`.
+    pub fn field(&self, name: &str) -> Option<u64> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| *v)
+    }
+}
+
 /// Counters and events attributed to one span (or to the implicit root
 /// scope for emissions outside any span).
 #[derive(Debug, Clone)]
