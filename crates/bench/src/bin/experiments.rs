@@ -111,19 +111,11 @@ fn main() {
         obs_json.len()
     );
 
-    println!(
-        "\n== E13: synthesized-corpus scaling, topological batched scheduler (fearless-synth) =="
-    );
+    println!("\n== E13: synthesized-corpus scaling, flat batched plan (fearless-synth) ==");
     let synth = fearless_bench::synth_snapshot(4, 1000);
     println!(
-        "seed {}: {} functions ({} generated), {} level(s), {} batch(es), {} edge(s), {} cyclic",
-        synth.seed,
-        synth.total_functions,
-        synth.generated,
-        synth.sched_levels,
-        synth.sched_batches,
-        synth.sched_edges,
-        synth.sched_cyclic
+        "seed {}: {} functions ({} generated), {} batch(es)",
+        synth.seed, synth.total_functions, synth.generated, synth.sched_batches
     );
     println!(
         "cost model (x{} workers): work {} / makespan {} = {:.2}x speedup (gate: >= 2.00x)",

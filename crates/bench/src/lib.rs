@@ -430,7 +430,7 @@ pub fn trace_snapshot() -> String {
 
 /// E10 measurements: the incremental + parallel driver over the whole
 /// corpus — cold (cache filling), warm (all hits), and parallel
-/// (work-stealing pool, no cache) wall times plus the deterministic
+/// (self-scheduling pool, no cache) wall times plus the deterministic
 /// cache counters.
 #[derive(Debug, Clone)]
 pub struct IncrSnapshot {
@@ -519,9 +519,8 @@ pub fn render_incr_snapshot(s: &IncrSnapshot) -> String {
 
 /// E13 measurements: the synthesized-corpus scaling experiment — the
 /// `fearless-incr` driver over a ≥1000-function `fearless-synth`
-/// program, serial vs. parallel vs. cold/warm cached, with the
-/// topological scheduler's deterministic cost model and the
-/// journal-identity check.
+/// program, serial vs. parallel vs. cold/warm cached, with the batch
+/// plan's deterministic cost model and the journal-identity check.
 #[derive(Debug, Clone)]
 pub struct SynthSnapshot {
     /// Synthesizer seed.
@@ -532,18 +531,12 @@ pub struct SynthSnapshot {
     pub total_functions: u64,
     /// Worker threads used for the parallel run.
     pub jobs: usize,
-    /// Topological levels in the parallel schedule.
-    pub sched_levels: u64,
     /// Batches issued to the pool.
     pub sched_batches: u64,
-    /// Intra-unit call edges between scheduled jobs.
-    pub sched_edges: u64,
-    /// Jobs sitting in mutual-recursion cycles.
-    pub sched_cyclic: u64,
     /// Cost model: summed derivation nodes over all jobs.
     pub model_total_work: u64,
     /// Cost model: simulated makespan of the batched schedule on
-    /// `jobs` workers (derivation nodes, level barriers).
+    /// `jobs` workers (derivation nodes, no barriers).
     pub model_makespan: u64,
     /// Cost model: `100 · total_work / makespan` (200 ⇔ 2.00x). This is
     /// the machine-independent parallel-speedup figure the bench gate
@@ -617,16 +610,12 @@ pub fn synth_snapshot(jobs: usize, generated: usize) -> SynthSnapshot {
         },
     );
 
-    let stats = &parallel_run.schedule.stats;
     SynthSnapshot {
         seed: opts_synth.seed,
         generated: generated as u64,
         total_functions,
         jobs,
-        sched_levels: stats.levels as u64,
-        sched_batches: stats.batches as u64,
-        sched_edges: stats.edges as u64,
-        sched_cyclic: stats.cyclic as u64,
+        sched_batches: parallel_run.schedule.stats.batches as u64,
         model_total_work: model.total_work,
         model_makespan: model.makespan,
         model_speedup_x100: model.speedup_x100,
@@ -649,10 +638,7 @@ pub fn render_synth_snapshot(s: &SynthSnapshot) -> String {
         ("generated_functions", Json::U64(s.generated)),
         ("total_functions", Json::U64(s.total_functions)),
         ("jobs", Json::U64(s.jobs as u64)),
-        ("sched_levels", Json::U64(s.sched_levels)),
         ("sched_batches", Json::U64(s.sched_batches)),
-        ("sched_edges", Json::U64(s.sched_edges)),
-        ("sched_cyclic", Json::U64(s.sched_cyclic)),
         ("model_total_work", Json::U64(s.model_total_work)),
         ("model_makespan", Json::U64(s.model_makespan)),
         ("model_speedup_x100", Json::U64(s.model_speedup_x100)),

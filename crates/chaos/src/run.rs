@@ -16,13 +16,8 @@
 //! seed, faults), so any violation reproduces from its seed alone, and
 //! re-running a seed yields byte-identical stats digests.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use fearless_incr::checksum_hex;
-use fearless_runtime::{
-    DisconnectStrategy, FlowIndex, Machine, MachineConfig, Schedule, ThreadStatus,
-};
+use fearless_runtime::{DisconnectStrategy, FlowIndex, Machine, MachineConfig, ThreadStatus};
 use fearless_trace::Json;
 
 use crate::faults::FaultSpec;
@@ -61,38 +56,6 @@ impl Default for ChaosOptions {
             flow_facts: false,
             crosscheck: false,
         }
-    }
-}
-
-/// A [`ChaosSchedule`] that mirrors its fault counters into shared
-/// cells, so the driver can report deferral/forced-redelivery activity
-/// after the machine consumes the boxed schedule.
-struct ProbedSchedule {
-    inner: ChaosSchedule,
-    deferrals: Rc<Cell<u64>>,
-    forced: Rc<Cell<u64>>,
-}
-
-impl Schedule for ProbedSchedule {
-    fn pick(&mut self, runnable: &[usize]) -> usize {
-        self.inner.pick(runnable)
-    }
-    fn quantum(&mut self) -> u32 {
-        self.inner.quantum()
-    }
-    fn defer_delivery(&mut self, ch: u16) -> bool {
-        let defer = self.inner.defer_delivery(ch);
-        if defer {
-            self.deferrals.set(self.deferrals.get() + 1);
-        }
-        defer
-    }
-    fn pick_pair(&mut self, senders: &[usize], receivers: &[usize]) -> (usize, usize) {
-        self.inner.pick_pair(senders, receivers)
-    }
-    fn on_forced_delivery(&mut self, ch: u16) {
-        self.inner.on_forced_delivery(ch);
-        self.forced.set(self.forced.get() + 1);
     }
 }
 
@@ -275,7 +238,7 @@ fn run_once(
     scenario: &Scenario,
     opts: &ChaosOptions,
     flow: Option<&FlowIndex>,
-    schedule: Option<Box<dyn Schedule>>,
+    schedule: Option<ChaosSchedule>,
 ) -> Result<(String, String, (u64, u64)), String> {
     let mut m = Machine::from_compiled(scenario.program.clone(), machine_config(opts, scenario));
     if let Some(index) = flow {
@@ -283,7 +246,7 @@ fn run_once(
         m.set_flow_crosscheck(opts.crosscheck);
     }
     if let Some(s) = schedule {
-        m.set_schedule(s);
+        m.set_schedule(Box::new(s));
     }
     for sp in &scenario.spawns {
         m.spawn(&sp.func, sp.values())
@@ -335,13 +298,8 @@ pub fn run_scenario(scenario: &Scenario, opts: &ChaosOptions) -> ScenarioReport 
     report.sanitize_skipped += baseline.2 .0;
     report.sanitize_partial_walks += baseline.2 .1;
     for seed in 0..opts.seeds {
-        let deferrals = Rc::new(Cell::new(0u64));
-        let forced = Rc::new(Cell::new(0u64));
-        let schedule = Box::new(ProbedSchedule {
-            inner: ChaosSchedule::new(seed, opts.faults),
-            deferrals: Rc::clone(&deferrals),
-            forced: Rc::clone(&forced),
-        });
+        let schedule = ChaosSchedule::new(seed, opts.faults);
+        let counters = schedule.counters();
         match run_once(scenario, opts, flow.as_ref(), Some(schedule)) {
             Ok((results, digest, (skipped, partial))) => {
                 if results != baseline.0 {
@@ -359,8 +317,8 @@ pub fn run_scenario(scenario: &Scenario, opts: &ChaosOptions) -> ScenarioReport 
                 report.seed_digests.push("error".to_string());
             }
         }
-        report.deferrals += deferrals.get();
-        report.forced_deliveries += forced.get();
+        report.deferrals += counters.deferrals();
+        report.forced_deliveries += counters.forced();
     }
     report
 }

@@ -3,10 +3,14 @@
 //! delivers, which sender/receiver pair meets — is answered from a
 //! seeded PRNG filtered through a [`FaultSpec`].
 //!
-//! Determinism is the load-bearing property: the schedule holds no
-//! state but the seed's generator stream and the last-picked thread, so
-//! identical (program, config, seed, faults) runs make identical
-//! decisions and the machine's `Stats` and trace come out byte-identical.
+//! Determinism is the load-bearing property: the schedule's decisions
+//! depend on no state but the seed's generator stream and the
+//! last-picked thread, so identical (program, config, seed, faults) runs
+//! make identical decisions and the machine's `Stats` and trace come out
+//! byte-identical.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use fearless_runtime::Schedule;
 use rand::rngs::StdRng;
@@ -14,14 +18,34 @@ use rand::{Rng, SeedableRng};
 
 use crate::faults::FaultSpec;
 
+/// A schedule's fault counters, shared through [`ChaosSchedule::counters`]
+/// so they stay readable after the machine consumes the boxed schedule.
+#[derive(Debug, Default)]
+pub struct FaultCounters {
+    deferrals: Cell<u64>,
+    forced: Cell<u64>,
+}
+
+impl FaultCounters {
+    /// Rendezvous deliveries the schedule deferred.
+    pub fn deferrals(&self) -> u64 {
+        self.deferrals.get()
+    }
+
+    /// Deferred deliveries the machine had to force (redelivery
+    /// guarantee kicking in).
+    pub fn forced(&self) -> u64 {
+        self.forced.get()
+    }
+}
+
 /// Seeded adversarial scheduler.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChaosSchedule {
     rng: StdRng,
     faults: FaultSpec,
     last: Option<usize>,
-    deferrals: u64,
-    forced: u64,
+    counters: Rc<FaultCounters>,
 }
 
 impl ChaosSchedule {
@@ -31,20 +55,13 @@ impl ChaosSchedule {
             rng: StdRng::seed_from_u64(seed),
             faults,
             last: None,
-            deferrals: 0,
-            forced: 0,
+            counters: Rc::default(),
         }
     }
 
-    /// Rendezvous deliveries this schedule deferred.
-    pub fn deferrals(&self) -> u64 {
-        self.deferrals
-    }
-
-    /// Deferred deliveries the machine had to force (redelivery
-    /// guarantee kicking in).
-    pub fn forced(&self) -> u64 {
-        self.forced
+    /// A handle on this schedule's fault counters.
+    pub fn counters(&self) -> Rc<FaultCounters> {
+        Rc::clone(&self.counters)
     }
 }
 
@@ -89,7 +106,8 @@ impl Schedule for ChaosSchedule {
         }
         let defer = self.rng.gen_range(0..8u64) < chance_in_8;
         if defer {
-            self.deferrals += 1;
+            let deferrals = &self.counters.deferrals;
+            deferrals.set(deferrals.get() + 1);
         }
         defer
     }
@@ -106,7 +124,8 @@ impl Schedule for ChaosSchedule {
     }
 
     fn on_forced_delivery(&mut self, _ch: u16) {
-        self.forced += 1;
+        let forced = &self.counters.forced;
+        forced.set(forced.get() + 1);
     }
 }
 
@@ -125,7 +144,7 @@ mod tests {
             assert_eq!(a.defer_delivery(3), b.defer_delivery(3));
             assert_eq!(a.pick_pair(&[1, 2], &[0, 3]), b.pick_pair(&[1, 2], &[0, 3]));
         }
-        assert_eq!(a.deferrals(), b.deferrals());
+        assert_eq!(a.counters().deferrals(), b.counters().deferrals());
     }
 
     #[test]
@@ -135,7 +154,7 @@ mod tests {
             assert!(!s.defer_delivery(0), "no delay/drop faults ⇒ eager");
         }
         assert_eq!(s.pick_pair(&[4, 9], &[2, 8]), (4, 2), "no reorder ⇒ fifo");
-        assert_eq!(s.deferrals(), 0);
+        assert_eq!(s.counters().deferrals(), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! recorded in memory but never serialized).
 //!
 //! `check` is driven by the `fearless-incr` incremental driver: `--jobs
-//! N` fans independent per-function checks over a work-stealing pool,
+//! N` fans independent per-function checks over a self-scheduling pool,
 //! and `--cache <dir>` keeps a fingerprint-keyed result cache on disk.
 //! Reports, diagnostics, and metrics stay byte-identical regardless of
 //! job count or cache warmth (warmth is visible only in the dedicated

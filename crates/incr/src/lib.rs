@@ -17,7 +17,9 @@
 //!   diagnostics, and `--metrics json` spans byte-for-byte; FA002's
 //!   probes, `fearlessc check --cache`, and the daemon all answer from
 //!   it. `fearless-flow` keeps its flow summaries in a second table.
-//! * [`pool`] — a small hand-rolled work-stealing thread pool (no
+//! * [`sched`] — chunks the misses, in definition order, into batches
+//!   for the pool, and models the plan's parallel speedup.
+//! * [`pool`] — a small hand-rolled self-scheduling thread pool (no
 //!   external deps) that drives independent `check_fn` queries.
 //! * [`check_units`] — the driver: fingerprint serially, answer hits
 //!   from the cache, fan misses out over the pool, then re-assemble
@@ -189,9 +191,9 @@ pub struct CheckRun {
     pub units: Vec<UnitReport>,
     /// Cache traffic for this run (all zeros when no cache was given).
     pub stats: CacheStats,
-    /// The topological/batched issue plan the misses ran under (empty
-    /// when everything hit the cache). Deterministic: replanning the
-    /// same misses yields the same schedule.
+    /// The batched issue plan the misses ran under (empty when
+    /// everything hit the cache). Deterministic: replanning the same
+    /// misses yields the same schedule.
     pub schedule: sched::Schedule,
 }
 
@@ -279,12 +281,12 @@ pub fn check_units(
         }
     }
 
-    // Phase 2 (parallel): plan the misses into a topological, batched
-    // schedule (callees issue before callers; small jobs share a batch
-    // so pool overhead amortizes) and run the batches through the pool.
-    // Each batch checks its functions with private sinks and returns
-    // their replayable outcomes; because the checker is
-    // signature-modular the plan only shapes performance, never results.
+    // Phase 2 (parallel): chunk the misses, in definition order, into
+    // batches (small jobs share a batch so pool overhead amortizes) and
+    // run the batches through the pool. Each batch checks its functions
+    // with private sinks and returns their replayable outcomes; because
+    // the checker is signature-modular the plan only shapes
+    // performance, never results.
     let mut miss_list = Vec::new();
     for (ui, unit) in pending.iter().enumerate() {
         for (fi, (_, _, cached)) in unit.fns.iter().enumerate() {
@@ -293,45 +295,38 @@ pub fn check_units(
             }
         }
     }
-    let schedule = sched::plan(units, &miss_list, jobs.max(1));
-    let batch_jobs: Vec<Vec<(usize, usize)>> =
-        schedule.batches.iter().map(|b| b.jobs.clone()).collect();
-    let outcomes: Vec<Vec<((usize, usize), CachedOutcome)>> = {
-        let pending = &pending;
-        pool::run_jobs(jobs, batch_jobs, move |batch| {
-            batch
-                .into_iter()
-                .map(|(ui, fi)| {
-                    let unit = &pending[ui];
-                    let globals = unit.globals.as_ref().expect("misses imply globals");
-                    let def = &units[ui].1.funcs[fi];
-                    let outcome = check_one(globals, options, def, want_counters);
-                    ((ui, fi), outcome)
-                })
-                .collect()
-        })
-    };
+    let schedule = sched::plan(units, &miss_list, jobs);
+    let batches = pool::run_jobs(jobs, &schedule.batches, |batch| {
+        batch
+            .iter()
+            .map(|&(ui, fi)| {
+                let globals = pending[ui].globals.as_ref().expect("misses imply globals");
+                check_one(globals, options, &units[ui].1.funcs[fi], want_counters)
+            })
+            .collect::<Vec<_>>()
+    });
 
     // Phase 3 (serial): merge outcomes back, replay spans in definition
-    // order, and feed fresh results into the cache.
-    let mut fresh: std::collections::BTreeMap<(usize, usize), CachedOutcome> =
-        outcomes.into_iter().flatten().collect();
+    // order, and feed fresh results into the cache. Batches are
+    // contiguous runs of the miss list and come back in issue order, so
+    // the flattened outcomes arrive in definition order too.
+    let mut fresh = batches.into_iter().flatten();
     let mut run = CheckRun {
         units: Vec::with_capacity(pending.len()),
         stats,
         schedule,
     };
-    for (ui, unit) in pending.into_iter().enumerate() {
+    for unit in pending {
         let mut report = UnitReport {
             label: unit.label.to_string(),
             env_error: unit.env_error,
             functions: Vec::with_capacity(unit.fns.len()),
         };
-        for (fi, (name, fp, cached)) in unit.fns.into_iter().enumerate() {
+        for (name, fp, cached) in unit.fns {
             let (outcome, cache_hit) = match cached {
                 Some(outcome) => (outcome, true),
                 None => {
-                    let outcome = fresh.remove(&(ui, fi)).expect("pool returned every job");
+                    let outcome = fresh.next().expect("pool returned every job");
                     if let Some(c) = cache.as_deref_mut() {
                         c.insert(fp, outcome.clone());
                     }

@@ -1,93 +1,55 @@
-//! A small hand-rolled work-stealing thread pool.
+//! A small hand-rolled self-scheduling thread pool.
 //!
-//! The workspace is dependency-free by design (no `rayon`), and the
-//! workload — one independent `check_fn` query per task — is exactly the
-//! shape work stealing was made for: tasks vary wildly in cost (a
-//! three-line accessor vs. a search-heavy red-black-tree rebalance), so
-//! static round-robin partitioning leaves workers idle while one grinds.
-//!
-//! Design: every worker owns a deque seeded round-robin. A worker pops
-//! its own deque from the *front* (LIFO-ish locality is irrelevant here;
-//! front-pop keeps seeded order) and, when empty, steals from the *back*
-//! of the other deques. Deques are `Mutex<VecDeque>` — contention is one
-//! lock per task, negligible against a multi-millisecond check — and
-//! results land in an index-addressed slot table, so the output order is
-//! the input order no matter which worker ran what. Determinism of
-//! results therefore never depends on the schedule; only wall-clock
-//! does.
+//! The workspace is dependency-free by design (no `rayon`). The
+//! workload — batches of independent `check_fn` queries — varies wildly
+//! in cost (a three-line accessor vs. a search-heavy red-black-tree
+//! rebalance), so static partitioning would leave workers idle while
+//! one grinds. Instead every worker claims the next unclaimed item from
+//! one shared atomic counter until none are left: a worker that drew
+//! cheap items simply claims more. Each worker keeps `(index, result)`
+//! pairs and the caller sorts them by index, so the output order is the
+//! input order no matter which worker ran what. Determinism of results
+//! therefore never depends on the schedule; only wall-clock does.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Runs `f` over `items` on `jobs` worker threads, returning results in
 /// input order. `jobs <= 1` (or a single item) runs inline on the
-/// calling thread with no pool at all.
-pub fn run_jobs<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
+/// calling thread with no pool at all. A panicking job propagates its
+/// panic to the caller once the other workers have drained the items.
+pub fn run_jobs<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = jobs.min(n).max(1);
+    let workers = jobs.min(items.len()).max(1);
     if workers == 1 {
-        return items.into_iter().map(f).collect();
+        return items.iter().map(f).collect();
     }
 
-    // Seed the per-worker deques round-robin, tagging each item with its
-    // input index so results can be reassembled in order.
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].lock().unwrap().push_back((i, item));
-    }
-
-    let remaining = AtomicUsize::new(n);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let remaining = &remaining;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Own queue first (front), then steal from the back of
-                // the others, scanning from our right-hand neighbour.
-                let mut task = deques[me].lock().unwrap().pop_front();
-                if task.is_none() {
-                    for k in 1..workers {
-                        let victim = (me + k) % workers;
-                        task = deques[victim].lock().unwrap().pop_back();
-                        if task.is_some() {
-                            break;
-                        }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        out.push((i, f(item)));
                     }
-                }
-                match task {
-                    Some((i, item)) => {
-                        let r = f(item);
-                        *slots[i].lock().unwrap() = Some(r);
-                        remaining.fetch_sub(1, Ordering::Release);
-                    }
-                    None => {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        // Another worker still holds in-flight tasks we
-                        // cannot steal; let it finish.
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every slot filled"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -97,29 +59,29 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
-        let out = run_jobs(8, items.clone(), |x| x * 2);
+        let out = run_jobs(8, &items, |x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_job_runs_inline() {
-        let out = run_jobs(1, vec![1, 2, 3], |x| x + 1);
+        let out = run_jobs(1, &[1, 2, 3], |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<i32> = run_jobs(4, Vec::<i32>::new(), |x| x);
+        let out: Vec<i32> = run_jobs(4, &[], |x: &i32| *x);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn skewed_costs_get_stolen() {
-        // One pathological task plus many cheap ones: with stealing, the
-        // cheap tasks all complete even though they were seeded onto the
-        // same deque rotation as the expensive one.
+    fn skewed_costs_are_rebalanced() {
+        // One pathological task plus many cheap ones: the workers that
+        // drew cheap items keep claiming, so every cheap task completes
+        // while one worker grinds the expensive one.
         let items: Vec<u64> = (0..64).collect();
-        let out = run_jobs(4, items, |x| {
+        let out = run_jobs(4, &items, |&x| {
             if x == 0 {
                 // Simulate an expensive check.
                 let mut acc = 0u64;
@@ -138,7 +100,28 @@ mod tests {
 
     #[test]
     fn more_jobs_than_items() {
-        let out = run_jobs(32, vec![5, 6], |x| x);
+        let out = run_jobs(32, &[5, 6], |&x| x);
         assert_eq!(out, vec![5, 6]);
+    }
+
+    #[test]
+    fn panicking_job_reaches_the_caller() {
+        // Under a watchdog: a pool that hangs on a panicking job fails
+        // the test instead of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let items: Vec<u32> = (0..8).collect();
+            let caught = std::panic::catch_unwind(|| {
+                run_jobs(2, &items, |&x| if x == 0 { panic!("job 0") } else { x })
+            });
+            let message = caught
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the pool hung on a panicking job");
+        assert_eq!(message.as_deref(), Some("job 0"));
     }
 }

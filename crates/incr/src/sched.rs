@@ -1,55 +1,31 @@
-//! Topological, batched scheduling of per-function check jobs.
+//! Flat, batched planning of per-function check jobs.
 //!
-//! The original driver fanned every missed function out to the pool as
-//! its own task. That is *correct* — the checker is signature-modular
-//! (§4.4), so no task ever needs another task's result — but it scales
-//! badly: at thousands of functions, per-task pool overhead (deque
-//! locks, slot writes, steal scans) rivals the cost of checking a small
-//! accessor, and the flat issue order ignores the call graph entirely.
-//! This module replaces the flat fan-out with:
+//! The checker is signature-modular (§4.4): each function checks against
+//! its callees' signatures, never their derivations, so per-function
+//! jobs have no ordering constraint at all. What does matter at
+//! thousands of functions is per-task pool overhead, which rivals the
+//! cost of checking a small accessor. So the plan chunks the miss list,
+//! as given in `(unit, function)` definition order, into contiguous
+//! batches: the pool sees a few multi-function tasks instead of
+//! thousands of single-function ones. The batch size targets
+//! [`BATCHES_PER_WORKER`] batches per worker (capped at [`MAX_BATCH`])
+//! so the self-scheduling pool can still rebalance skewed costs.
 //!
-//! * **Topological levels**: each unit's intra-unit call graph orders
-//!   callees before callers. Level 0 holds functions with no scheduled
-//!   in-unit callees; level k holds functions whose scheduled callees
-//!   all sit in levels < k. Self-recursion is ignored; mutual recursion
-//!   is collapsed by SCC condensation, so a cycle's members issue
-//!   together and the cycle's callers still issue strictly after it.
-//! * **Batching**: each level's jobs are chunked so the pool sees a few
-//!   multi-function tasks instead of thousands of single-function ones.
-//!   The batch size targets [`BATCHES_PER_WORKER`] batches per worker
-//!   per level (capped at [`MAX_BATCH`]) so work stealing can still
-//!   rebalance skew within a level.
-//!
-//! Levels order batch *issue*, they are not hard barriers: because
-//! dependencies are soft under signature modularity, a worker may
-//! legally start a caller while another worker still holds its callee.
-//! Output bytes cannot tell the difference — the driver reassembles
-//! outcomes and replays trace spans in definition order afterwards.
-//! The levels also feed the deterministic [`cost_model`]: a
+//! Output bytes cannot depend on the plan: the driver reassembles
+//! outcomes and replays trace spans in definition order afterwards. The
+//! plan also feeds the deterministic [`cost_model`]: a
 //! machine-independent parallel-speedup estimate that benches gate on
 //! (see `docs/OBSERVABILITY.md`, BENCH_synth.json).
 
-use fearless_syntax::ast::ExprKind;
 use fearless_syntax::Program;
-use std::collections::BTreeMap;
 
-/// Target number of batches per worker within one level; more gives
-/// stealing room, fewer amortizes pool overhead.
+/// Target number of batches per worker; more gives the pool room to
+/// rebalance, fewer amortizes pool overhead.
 pub const BATCHES_PER_WORKER: usize = 4;
 
-/// Hard cap on jobs per batch, so one batch never serializes a huge
-/// level on a single worker.
+/// Hard cap on jobs per batch, so one batch never serializes a large
+/// share of the work on a single worker.
 pub const MAX_BATCH: usize = 32;
-
-/// One pool task: a run of `(unit, function)` jobs from a single
-/// topological level, in definition order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Batch {
-    /// Topological level this batch was issued from.
-    pub level: usize,
-    /// The jobs, as `(unit index, function index)` pairs.
-    pub jobs: Vec<(usize, usize)>,
-}
 
 /// Shape summary of a [`Schedule`], carried on
 /// [`crate::CheckRun::schedule`] for benches and diagnostics.
@@ -57,231 +33,55 @@ pub struct Batch {
 pub struct ScheduleStats {
     /// Total jobs scheduled (= cache misses).
     pub jobs: usize,
-    /// Number of topological levels.
-    pub levels: usize,
     /// Number of batches issued to the pool.
     pub batches: usize,
-    /// Intra-unit call edges between scheduled jobs (self-calls
-    /// excluded, deduplicated).
-    pub edges: usize,
-    /// Jobs that sit in multi-function call cycles (issued together at
-    /// their SCC's level).
-    pub cyclic: usize,
 }
 
-/// A batched, topologically ordered issue plan for a set of misses.
+/// A batched issue plan for a set of misses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
-    /// Batches in issue order (level-major, then definition order).
-    pub batches: Vec<Batch>,
+    /// Batches in issue order: contiguous runs of the miss list, each a
+    /// list of `(unit index, function index)` jobs.
+    pub batches: Vec<Vec<(usize, usize)>>,
     /// Shape summary.
     pub stats: ScheduleStats,
 }
 
 /// Plans the issue order for `misses` (pairs of unit index and function
-/// index into `units`) on `workers` workers. Deterministic: the plan is
-/// a pure function of its arguments.
-pub fn plan(units: &[(String, Program)], misses: &[(usize, usize)], workers: usize) -> Schedule {
-    let workers = workers.max(1);
-    let mut stats = ScheduleStats {
-        jobs: misses.len(),
-        ..ScheduleStats::default()
-    };
-
-    // Group the missed function indices per unit.
-    let mut by_unit: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &(ui, fi) in misses {
-        by_unit.entry(ui).or_default().push(fi);
-    }
-
-    // Level every unit's misses over its intra-unit call graph, then
-    // merge into global levels.
-    let mut levels: Vec<Vec<(usize, usize)>> = Vec::new();
-    for (&ui, fis) in &by_unit {
-        let program = &units[ui].1;
-        let (unit_levels, edges, cyclic) = level_unit(program, fis);
-        stats.edges += edges;
-        stats.cyclic += cyclic;
-        for (lvl, fis_at) in unit_levels.into_iter().enumerate() {
-            if levels.len() <= lvl {
-                levels.resize_with(lvl + 1, Vec::new);
-            }
-            levels[lvl].extend(fis_at.into_iter().map(|fi| (ui, fi)));
-        }
-    }
-    // Units were visited in index order and levels extended in order,
-    // but interleaving across units can break (ui, fi) order within a
-    // level; restore it so batches read in definition order.
-    for level in &mut levels {
-        level.sort_unstable();
-    }
-    stats.levels = levels.len();
-
-    // Chunk each level into batches.
-    let mut batches = Vec::new();
-    for (lvl, jobs_at) in levels.into_iter().enumerate() {
-        let target = jobs_at.len().div_ceil(workers * BATCHES_PER_WORKER);
-        let size = target.clamp(1, MAX_BATCH);
-        for chunk in jobs_at.chunks(size) {
-            batches.push(Batch {
-                level: lvl,
-                jobs: chunk.to_vec(),
-            });
-        }
-    }
-    stats.batches = batches.len();
-    Schedule { batches, stats }
-}
-
-/// Levels one unit's missed functions over its intra-unit call graph.
-/// Returns the levels (function indices, definition order within each),
-/// the number of scheduled call edges, and how many jobs sit in
-/// multi-function call cycles.
+/// index, in definition order) on `workers` workers. Deterministic: the
+/// plan is a pure function of its arguments.
 ///
-/// Cycles are handled by condensation: Tarjan's SCCs collapse each
-/// mutual-recursion group to one node, the condensation (always a DAG)
-/// is leveled callees-first, and a cyclic group's members issue
-/// together at the level its callees allow — callers of the cycle
-/// still issue strictly after it.
-fn level_unit(program: &Program, fis: &[usize]) -> (Vec<Vec<usize>>, usize, usize) {
-    // Map function names to indices, then collect each missed
-    // function's callees that are themselves missed.
-    let name_to_fi: BTreeMap<&str, usize> = program
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| (f.name.as_str(), fi))
+/// `_units` is unused; it is kept only because `perfbench` calls this
+/// signature, and the next benchmark-only change can drop it.
+pub fn plan(_units: &[(String, Program)], misses: &[(usize, usize)], workers: usize) -> Schedule {
+    let target = misses.len().div_ceil(workers.max(1) * BATCHES_PER_WORKER);
+    let batches: Vec<Vec<(usize, usize)>> = misses
+        .chunks(target.clamp(1, MAX_BATCH))
+        .map(<[_]>::to_vec)
         .collect();
-    let scheduled: std::collections::BTreeSet<usize> = fis.iter().copied().collect();
-
-    let mut callees: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut edges = 0;
-    let mut nodes: Vec<usize> = fis.to_vec();
-    nodes.sort_unstable();
-    for &fi in &nodes {
-        let mut targets = std::collections::BTreeSet::new();
-        program.funcs[fi].body.walk(&mut |e| {
-            if let ExprKind::Call(name, _) = &e.kind {
-                if let Some(&fj) = name_to_fi.get(name.as_str()) {
-                    if fj != fi && scheduled.contains(&fj) {
-                        targets.insert(fj);
-                    }
-                }
-            }
-        });
-        edges += targets.len();
-        callees.insert(fi, targets.into_iter().collect());
+    Schedule {
+        stats: ScheduleStats {
+            jobs: misses.len(),
+            batches: batches.len(),
+        },
+        batches,
     }
-
-    // Tarjan's SCCs, iteratively (call-graph chains can be thousands
-    // deep). Edges point caller → callee, so an SCC's callee SCCs are
-    // always emitted before it.
-    let mut index_of: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut low: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut on_stack: std::collections::BTreeSet<usize> = Default::default();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut next_index = 0usize;
-    for &root in &nodes {
-        if index_of.contains_key(&root) {
-            continue;
-        }
-        index_of.insert(root, next_index);
-        low.insert(root, next_index);
-        next_index += 1;
-        stack.push(root);
-        on_stack.insert(root);
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(frame) = frames.last_mut() {
-            let (v, ci) = *frame;
-            let succs = &callees[&v];
-            if ci < succs.len() {
-                frame.1 += 1;
-                let w = succs[ci];
-                if let std::collections::btree_map::Entry::Vacant(e) = index_of.entry(w) {
-                    e.insert(next_index);
-                    low.insert(w, next_index);
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack.insert(w);
-                    frames.push((w, 0));
-                } else if on_stack.contains(&w) {
-                    let lw = index_of[&w];
-                    low.insert(v, low[&v].min(lw));
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    let lv = low[&v];
-                    low.insert(p, low[&p].min(lv));
-                }
-                if low[&v] == index_of[&v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("root still on stack");
-                        on_stack.remove(&w);
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-
-    // Level the condensation: an SCC issues one level above its deepest
-    // callee SCC. Emission order guarantees callee levels are known.
-    let mut scc_of: BTreeMap<usize, usize> = BTreeMap::new();
-    for (si, scc) in sccs.iter().enumerate() {
-        for &v in scc {
-            scc_of.insert(v, si);
-        }
-    }
-    let mut cyclic = 0;
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    let mut scc_level = vec![0usize; sccs.len()];
-    for (si, scc) in sccs.iter().enumerate() {
-        let mut lvl = 0;
-        for &v in scc {
-            for &w in &callees[&v] {
-                let sw = scc_of[&w];
-                if sw != si {
-                    lvl = lvl.max(scc_level[sw] + 1);
-                }
-            }
-        }
-        scc_level[si] = lvl;
-        if scc.len() > 1 {
-            cyclic += scc.len();
-        }
-        if levels.len() <= lvl {
-            levels.resize_with(lvl + 1, Vec::new);
-        }
-        levels[lvl].extend_from_slice(scc);
-    }
-    for level in &mut levels {
-        level.sort_unstable();
-    }
-    (levels, edges, cyclic)
 }
 
 /// Deterministic parallel cost model of a schedule.
 ///
 /// `total_work` is the summed per-job cost; `makespan` is the simulated
-/// completion time of greedy list scheduling (each batch goes to the
-/// least-loaded worker, ties to the lowest index) with a barrier
-/// between levels — a *conservative* estimate, since real issue has no
-/// barriers. `speedup_x100` is `100 · total_work / makespan`.
+/// completion time of greedy list scheduling: each batch, in issue
+/// order, goes to the least-loaded worker (ties to the lowest index),
+/// with no barriers — exactly what the self-scheduling pool does.
+/// `speedup_x100` is `100 · total_work / makespan`.
 ///
 /// With cost = measured derivation nodes per function, this yields a
 /// machine-independent speedup figure that BENCH_synth.json gates on:
-/// it captures exactly the two things the scheduler controls (balance
-/// and batch granularity) while staying byte-reproducible on any
-/// host — including single-core CI runners where wall-clock parallel
-/// speedup is unmeasurable by construction.
+/// it captures exactly the two things the plan controls (balance and
+/// batch granularity) while staying byte-reproducible on any host —
+/// including single-core CI runners where wall-clock parallel speedup
+/// is unmeasurable by construction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostModel {
     /// Summed cost over all jobs.
@@ -299,27 +99,15 @@ pub fn cost_model(
     workers: usize,
     cost: &mut dyn FnMut(usize, usize) -> u64,
 ) -> CostModel {
-    let workers = workers.max(1);
+    let mut loads = vec![0u64; workers.max(1)];
     let mut total_work = 0u64;
-    let mut makespan = 0u64;
-    let mut i = 0;
-    let batches = &schedule.batches;
-    while i < batches.len() {
-        let level = batches[i].level;
-        let mut loads = vec![0u64; workers];
-        while i < batches.len() && batches[i].level == level {
-            let c: u64 = batches[i]
-                .jobs
-                .iter()
-                .map(|&(ui, fi)| cost(ui, fi).max(1))
-                .sum();
-            total_work += c;
-            let w = (0..workers).min_by_key(|&w| loads[w]).unwrap_or(0);
-            loads[w] += c;
-            i += 1;
-        }
-        makespan += loads.iter().copied().max().unwrap_or(0);
+    for batch in &schedule.batches {
+        let c: u64 = batch.iter().map(|&(ui, fi)| cost(ui, fi).max(1)).sum();
+        total_work += c;
+        let w = (0..loads.len()).min_by_key(|&w| loads[w]).unwrap_or(0);
+        loads[w] += c;
     }
+    let makespan = loads.into_iter().max().unwrap_or(0);
     let speedup_x100 = (total_work * 100).checked_div(makespan).unwrap_or(100);
     CostModel {
         total_work,
@@ -331,129 +119,46 @@ pub fn cost_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fearless_syntax::parse_program;
 
-    fn unit(src: &str) -> Vec<(String, Program)> {
-        vec![(String::new(), parse_program(src).unwrap())]
-    }
-
-    fn all_misses(units: &[(String, Program)]) -> Vec<(usize, usize)> {
-        units
-            .iter()
-            .enumerate()
-            .flat_map(|(ui, (_, p))| (0..p.funcs.len()).map(move |fi| (ui, fi)))
-            .collect()
-    }
-
-    const CHAIN: &str = "
-        def a(x : int) : int { x + 1 }
-        def b(x : int) : int { a(x) + 1 }
-        def c(x : int) : int { b(x) + a(x) }
-    ";
-
-    #[test]
-    fn chain_levels_are_topological() {
-        let units = unit(CHAIN);
-        let s = plan(&units, &all_misses(&units), 4);
-        assert_eq!(s.stats.jobs, 3);
-        assert_eq!(s.stats.levels, 3);
-        assert_eq!(s.stats.edges, 3); // b→a, c→b, c→a
-        assert_eq!(s.stats.cyclic, 0);
-        // a at level 0, b at 1, c at 2.
-        let level_of: Vec<(usize, usize)> = s
-            .batches
-            .iter()
-            .flat_map(|b| b.jobs.iter().map(move |&j| (b.level, j.1)))
-            .map(|(l, fi)| (fi, l))
-            .collect();
-        assert!(level_of.contains(&(0, 0)));
-        assert!(level_of.contains(&(1, 1)));
-        assert!(level_of.contains(&(2, 2)));
+    fn one_unit(functions: usize) -> Vec<(usize, usize)> {
+        (0..functions).map(|fi| (0, fi)).collect()
     }
 
     #[test]
-    fn self_recursion_is_not_a_cycle() {
-        let units = unit("def f(x : int) : int { if (x > 0) { f(x - 1) } else { 0 } }");
-        let s = plan(&units, &all_misses(&units), 2);
-        assert_eq!(s.stats.levels, 1);
-        assert_eq!(s.stats.cyclic, 0);
-        assert_eq!(s.stats.edges, 0);
-    }
-
-    #[test]
-    fn mutual_recursion_lands_in_final_level() {
-        let units = unit(
-            "def even(x : int) : bool { if (x == 0) { true } else { odd(x - 1) } }
-             def odd(x : int) : bool { if (x == 0) { false } else { even(x - 1) } }
-             def top(x : int) : bool { even(x) }",
-        );
-        let s = plan(&units, &all_misses(&units), 2);
-        // even/odd cycle first (unorderable), then top.
-        assert_eq!(s.stats.cyclic, 2);
-        let cycle_level = s
-            .batches
-            .iter()
-            .find(|b| b.jobs.contains(&(0, 0)))
-            .unwrap()
-            .level;
-        let top_level = s
-            .batches
-            .iter()
-            .find(|b| b.jobs.contains(&(0, 2)))
-            .unwrap()
-            .level;
-        assert!(top_level > cycle_level, "caller issues after the cycle");
-    }
-
-    #[test]
-    fn partial_miss_set_only_links_scheduled_jobs() {
-        let units = unit(CHAIN);
-        // Only b and c missed: the b→a edge vanishes (a is cached), so
-        // b is level 0 and c level 1.
-        let s = plan(&units, &[(0, 1), (0, 2)], 2);
-        assert_eq!(s.stats.jobs, 2);
-        assert_eq!(s.stats.levels, 2);
-        assert_eq!(s.stats.edges, 1);
-    }
-
-    #[test]
-    fn batches_chunk_wide_levels() {
-        // 100 independent functions on 2 workers: one level, chunked
-        // into ceil(100 / (2*4)) = 13-job batches → 8 batches.
-        let src: String = (0..100)
-            .map(|i| format!("def f{i}(x : int) : int {{ x + {i} }}\n"))
-            .collect();
-        let units = unit(&src);
-        let s = plan(&units, &all_misses(&units), 2);
-        assert_eq!(s.stats.levels, 1);
+    fn batches_chunk_the_miss_list() {
+        // 100 functions on 2 workers: chunked into
+        // ceil(100 / (2*4)) = 13-job batches → 8 batches.
+        let misses = one_unit(100);
+        let s = plan(&[], &misses, 2);
+        assert_eq!(s.stats.jobs, 100);
         assert_eq!(s.stats.batches, 8);
-        let total: usize = s.batches.iter().map(|b| b.jobs.len()).sum();
-        assert_eq!(total, 100);
-        // Definition order within the level.
-        let flat: Vec<usize> = s
-            .batches
-            .iter()
-            .flat_map(|b| b.jobs.iter().map(|j| j.1))
-            .collect();
-        let mut sorted = flat.clone();
-        sorted.sort_unstable();
-        assert_eq!(flat, sorted);
+        assert!(s.batches.iter().all(|b| b.len() <= 13));
+        // Definition order, end to end.
+        assert_eq!(s.batches.concat(), misses);
+    }
+
+    #[test]
+    fn partial_miss_set_plans_exactly_those_misses_in_order() {
+        let misses = [(0, 1), (0, 4), (1, 0), (1, 2), (3, 7)];
+        let s = plan(&[], &misses, 1);
+        // ceil(5 / 4) = 2-job contiguous chunks.
+        assert_eq!(
+            s.batches,
+            vec![vec![(0, 1), (0, 4)], vec![(1, 0), (1, 2)], vec![(3, 7)]]
+        );
+        assert_eq!(s.stats.jobs, 5);
+        assert_eq!(s.stats.batches, 3);
     }
 
     #[test]
     fn empty_plan_is_empty() {
-        let units = unit(CHAIN);
-        let s = plan(&units, &[], 4);
+        let s = plan(&[], &[], 4);
         assert_eq!(s, Schedule::default());
     }
 
     #[test]
     fn cost_model_balances_independent_work() {
-        let src: String = (0..64)
-            .map(|i| format!("def f{i}(x : int) : int {{ x + {i} }}\n"))
-            .collect();
-        let units = unit(&src);
-        let s = plan(&units, &all_misses(&units), 4);
+        let s = plan(&[], &one_unit(64), 4);
         let m = cost_model(&s, 4, &mut |_, _| 10);
         assert_eq!(m.total_work, 640);
         // 64 equal jobs on 4 workers: near-perfect balance.
@@ -462,8 +167,7 @@ mod tests {
 
     #[test]
     fn cost_model_serial_is_1x() {
-        let units = unit(CHAIN);
-        let s = plan(&units, &all_misses(&units), 1);
+        let s = plan(&[], &one_unit(3), 1);
         let m = cost_model(&s, 1, &mut |_, _| 7);
         assert_eq!(m.speedup_x100, 100);
         assert_eq!(m.total_work, m.makespan);

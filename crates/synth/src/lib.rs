@@ -34,8 +34,7 @@
 //!   derivation work per function).
 //! - `window`: callee-sampling locality. Generated functions call other
 //!   generated functions at most `window` definitions back, so smaller
-//!   windows produce deeper call-graph chains — which is what the
-//!   topological scheduler in `fearless-incr` batches by level.
+//!   windows produce deeper call-graph chains.
 //!
 //! See `docs/CORPUS.md` for the full grammar/motif spec and how the
 //! synthesized corpus feeds the check, chaos, fuzz, and lint layers.
