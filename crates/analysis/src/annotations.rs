@@ -25,6 +25,13 @@
 //! validates fails outright. Otherwise it checks the dirty functions, the
 //! annotated one first, and stops at the first failure. Verdicts are
 //! memoized by fingerprint across probes.
+//!
+//! The probe's environment is patched, not rebuilt, where it can be. No
+//! other signature and no struct reads a function's annotations, so an
+//! annotation probe re-elaborates only `f`'s signature
+//! ([`Globals::patch_sig`]) and puts the old one back afterwards. An `iso`
+//! flip rebuilds the whole environment: struct validation reads `iso`, and
+//! so does every signature whose `after` relations name a field.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -196,6 +203,7 @@ pub(crate) fn run(checked: &CheckedProgram, globals: &Globals, report: &mut Anal
     let options = &checked.options;
     let dependents = Dependents::build(&checked.program, globals);
     let mut program = checked.program.clone();
+    let mut env = globals.clone();
     // Whether the function with a given fingerprint checks, as derived by
     // an earlier probe.
     let mut verdicts: HashMap<Fingerprint, bool> = HashMap::new();
@@ -204,23 +212,36 @@ pub(crate) fn run(checked: &CheckedProgram, globals: &Globals, report: &mut Anal
         stats.recheck_experiments += 1;
         let dirty = dependents.dirty(&checked.program, c.deletion);
         let checks = c.deletion.probe(&mut program, |p| {
-            let Ok(globals) = Globals::build(p, options.mode) else {
-                return false;
+            let mut derive = |globals: &Globals| {
+                dirty.iter().all(|&i| {
+                    let def = &p.funcs[i];
+                    stats.recheck_fingerprints += 1;
+                    match verdicts.entry(fn_fingerprint(globals, options, def)) {
+                        Entry::Occupied(v) => {
+                            stats.recheck_cache_hits += 1;
+                            *v.get()
+                        }
+                        Entry::Vacant(v) => {
+                            stats.recheck_cache_misses += 1;
+                            *v.insert(check_fn(globals, options, def).is_ok())
+                        }
+                    }
+                })
             };
-            dirty.iter().all(|&i| {
-                let def = &p.funcs[i];
-                stats.recheck_fingerprints += 1;
-                match verdicts.entry(fn_fingerprint(&globals, options, def)) {
-                    Entry::Occupied(v) => {
-                        stats.recheck_cache_hits += 1;
-                        *v.get()
-                    }
-                    Entry::Vacant(v) => {
-                        stats.recheck_cache_misses += 1;
-                        *v.insert(check_fn(&globals, options, def).is_ok())
-                    }
+            match c.deletion {
+                Deletion::Annotation { func, .. } => {
+                    let Ok(old) = env.patch_sig(&p.funcs[func]) else {
+                        return false;
+                    };
+                    let checks = derive(&env);
+                    env.restore_sig(old);
+                    checks
                 }
-            })
+                Deletion::Iso { .. } => {
+                    stats.recheck_env_builds += 1;
+                    Globals::build(p, options.mode).is_ok_and(|g| derive(&g))
+                }
+            }
         });
         if checks {
             let func = match c.deletion {

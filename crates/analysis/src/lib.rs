@@ -143,13 +143,16 @@ pub struct AnalysisStats {
     pub recheck_experiments: usize,
     /// Functions FA002 probes fingerprinted: the dirty functions they
     /// reached before a verdict (not part of the JSON report, nor are the
-    /// two counters below).
+    /// counters below).
     pub recheck_fingerprints: u64,
     /// Dirty functions answered from a verdict an earlier probe already
     /// derived for the same fingerprint.
     pub recheck_cache_hits: u64,
     /// Dirty functions the probes re-derived.
     pub recheck_cache_misses: u64,
+    /// Whole-program environment rebuilds the probes ran: one per `iso`
+    /// flip. An annotation probe patches one signature instead.
+    pub recheck_env_builds: u64,
 }
 
 /// The result of analyzing one checked program.

@@ -3,9 +3,11 @@
 //! that deletes each annotation in a fresh clone and re-checks the whole
 //! program cold with `check_program`. The lint answers its probes from a
 //! fingerprint store; this pins that the store never changes a verdict.
+//! It also pins the patched environments annotation probes check under:
+//! each equals a cold `Globals::build` of the probed program.
 
 use fearless_analyze::{analyze_program, LintCode};
-use fearless_core::{check_program, CheckedProgram, CheckerOptions};
+use fearless_core::{check_program, CheckedProgram, CheckerOptions, Globals};
 use fearless_syntax::{Program, Span, Symbol};
 
 /// A finding's identity: the function it names (none for struct fields)
@@ -167,4 +169,96 @@ fn fa002_matches_cold_reference_when_a_probe_fails_early() {
         stats.recheck_fingerprints
     );
     assert_matches_reference("early-failing probe", &checked);
+}
+
+/// Deletes every `pinned`, `before` and `consumes` entry of `checked` in
+/// turn and compares the probe's patched environment (`patch_sig` on the
+/// original one) with a cold `Globals::build` of the probed program: equal
+/// signatures, and an error from one exactly when the other errs. Returns
+/// the number of probes.
+fn assert_patches_match_builds(label: &str, checked: &CheckedProgram) -> usize {
+    let mode = checked.options.mode;
+    let original = Globals::build(&checked.program, mode).unwrap();
+    let mut env = original.clone();
+    let mut program = checked.program.clone();
+    let mut probes = 0;
+    for fi in 0..program.funcs.len() {
+        let saved = program.funcs[fi].annotations.clone();
+        let (pinned, before) = (saved.pinned.len(), saved.before.len());
+        for k in 0..pinned + before + saved.consumes.len() {
+            let a = &mut program.funcs[fi].annotations;
+            if k < pinned {
+                a.pinned.remove(k);
+            } else if k < pinned + before {
+                a.before.remove(k - pinned);
+            } else {
+                a.consumes.remove(k - pinned - before);
+            }
+            let f = &program.funcs[fi];
+            match (env.patch_sig(f), Globals::build(&program, mode)) {
+                (Ok(old), Ok(cold)) => {
+                    assert!(
+                        env.sigs().eq(cold.sigs()),
+                        "`{label}`: patched signatures differ from a build after probe {k} of `{}`",
+                        f.name
+                    );
+                    env.restore_sig(old);
+                }
+                (Err(_), Err(_)) => {}
+                (patched, cold) => panic!(
+                    "`{label}`: probe {k} of `{}`: patch ok {}, build ok {}",
+                    f.name,
+                    patched.is_ok(),
+                    cold.is_ok()
+                ),
+            }
+            assert!(
+                env.sigs().eq(original.sigs()),
+                "`{label}`: probe {k} of `{}` was not undone",
+                f.name
+            );
+            program.funcs[fi].annotations = saved.clone();
+            probes += 1;
+        }
+    }
+    probes
+}
+
+#[test]
+fn annotation_probe_environments_match_cold_builds_on_the_corpus() {
+    let opts = CheckerOptions::default();
+    let mut probes = 0;
+    for entry in fearless_corpus::accepted_entries() {
+        let checked = entry.check(&opts).unwrap_or_else(|e| panic!("{e}"));
+        probes += assert_patches_match_builds(entry.name, &checked);
+    }
+    assert!(probes > 0, "no corpus annotation was probed");
+}
+
+#[test]
+fn annotation_probe_environments_match_cold_builds_on_seed_42() {
+    // The program `fearlessc synth --seed 42 --functions 1000` writes.
+    let src = fearless_synth::synthesize(&fearless_synth::SynthOptions {
+        seed: 42,
+        functions: 1000,
+        ..fearless_synth::SynthOptions::default()
+    });
+    let checked = check(&src);
+    assert_eq!(assert_patches_match_builds("synth seed 42", &checked), 66);
+}
+
+#[test]
+fn a_patch_error_leaves_the_environment_unchanged() {
+    // `before: a ~ b` names two parameters; renaming one of them makes the
+    // edited signature fail to elaborate.
+    let checked = check(
+        "struct data { value: int }
+         def pair(a : data, b : data) : int before: a ~ b { a.value + b.value }",
+    );
+    let original = Globals::build(&checked.program, checked.options.mode).unwrap();
+    let mut env = original.clone();
+    let mut edited = checked.program.funcs[0].clone();
+    edited.params[1].name = fearless_syntax::Symbol::new("c");
+    assert!(env.patch_sig(&edited).is_err());
+    assert!(env.sigs().eq(original.sigs()));
 }

@@ -80,6 +80,7 @@ impl Lint {
                 "lint.recheck_fingerprints",
                 report.stats.recheck_fingerprints,
             );
+            sink.add("lint.recheck_env_builds", report.stats.recheck_env_builds);
             sink.add("lint.recheck_cache_hits", report.stats.recheck_cache_hits);
             sink.add(
                 "lint.recheck_cache_misses",

@@ -6,9 +6,16 @@
 //! set of *tracked* (focused) variables, each mapping some of its `iso`
 //! fields to their statically-known target regions. Regions are treated as
 //! affine resources (§4.1): reservation-shrinking operations consume them.
+//!
+//! Both contexts are copy-on-write: cloning one bumps a reference count, and
+//! the map is copied only when a mutator really changes it. Every derivation
+//! node records its whole judgment, so neighbouring nodes share their maps
+//! until a rule changes them. A mutator that would change nothing leaves the
+//! map shared.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use fearless_syntax::{Symbol, Type};
 
@@ -64,7 +71,7 @@ impl TrackCtx {
 /// capability held by the current expression.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct HeapCtx {
-    regions: BTreeMap<RegionId, TrackCtx>,
+    regions: Arc<BTreeMap<RegionId, TrackCtx>>,
 }
 
 impl HeapCtx {
@@ -85,7 +92,10 @@ impl HeapCtx {
 
     /// Mutable access to the tracking context of `r`.
     pub fn tracking_mut(&mut self, r: RegionId) -> Option<&mut TrackCtx> {
-        self.regions.get_mut(&r)
+        if !self.contains(r) {
+            return None;
+        }
+        Arc::make_mut(&mut self.regions).get_mut(&r)
     }
 
     /// Adds a fresh region with the given tracking context.
@@ -95,13 +105,16 @@ impl HeapCtx {
     /// Panics if `r` is already present (well-formed contexts never
     /// duplicate bindings; callers draw `r` from a fresh counter).
     pub fn insert(&mut self, r: RegionId, ctx: TrackCtx) {
-        let prev = self.regions.insert(r, ctx);
+        let prev = Arc::make_mut(&mut self.regions).insert(r, ctx);
         assert!(prev.is_none(), "duplicate region binding {r}");
     }
 
     /// Removes (consumes) a region, returning its tracking context.
     pub fn remove(&mut self, r: RegionId) -> Option<TrackCtx> {
-        self.regions.remove(&r)
+        if !self.contains(r) {
+            return None;
+        }
+        Arc::make_mut(&mut self.regions).remove(&r)
     }
 
     /// Iterates over `(region, tracking)` pairs in id order.
@@ -138,9 +151,13 @@ impl HeapCtx {
     /// V5-Attach and alpha-renaming). Tracked-field targets are renamed
     /// even when dangling.
     pub fn rename_region(&mut self, from: RegionId, to: RegionId) {
-        if let Some(ctx) = self.regions.remove(&from) {
+        if from == to || !self.mentions(|r| r == from) {
+            return;
+        }
+        let regions = Arc::make_mut(&mut self.regions);
+        if let Some(ctx) = regions.remove(&from) {
             // Merge tracking contexts when `to` already exists.
-            match self.regions.get_mut(&to) {
+            match regions.get_mut(&to) {
                 Some(dst) => {
                     dst.pinned = dst.pinned || ctx.pinned;
                     for (x, vt) in ctx.vars {
@@ -148,11 +165,11 @@ impl HeapCtx {
                     }
                 }
                 None => {
-                    self.regions.insert(to, ctx);
+                    regions.insert(to, ctx);
                 }
             }
         }
-        for ctx in self.regions.values_mut() {
+        for ctx in regions.values_mut() {
             for vt in ctx.vars.values_mut() {
                 for target in vt.fields.values_mut() {
                     if *target == from {
@@ -165,7 +182,11 @@ impl HeapCtx {
 
     /// Applies a simultaneous renaming to all regions and field targets.
     pub fn rename_all(&mut self, map: &BTreeMap<RegionId, RegionId>) {
-        let old = std::mem::take(&mut self.regions);
+        if !self.mentions(|r| map.contains_key(&r)) {
+            return;
+        }
+        let old = Arc::unwrap_or_clone(std::mem::take(&mut self.regions));
+        let regions = Arc::make_mut(&mut self.regions);
         for (r, mut ctx) in old {
             for vt in ctx.vars.values_mut() {
                 for target in vt.fields.values_mut() {
@@ -175,7 +196,7 @@ impl HeapCtx {
                 }
             }
             let new_r = map.get(&r).copied().unwrap_or(r);
-            let prev = self.regions.insert(new_r, ctx);
+            let prev = regions.insert(new_r, ctx);
             assert!(prev.is_none(), "renaming collided on {new_r}");
         }
     }
@@ -183,21 +204,34 @@ impl HeapCtx {
     /// All region ids mentioned anywhere (capabilities and field targets).
     pub fn mentioned_regions(&self) -> Vec<RegionId> {
         let mut out: Vec<RegionId> = self.regions.keys().copied().collect();
-        for ctx in self.regions.values() {
-            for vt in ctx.vars.values() {
-                out.extend(vt.fields.values().copied());
-            }
-        }
+        out.extend(self.field_targets());
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Whether some capability or tracked-field target satisfies `pred`.
+    fn mentions(&self, pred: impl FnMut(RegionId) -> bool) -> bool {
+        self.regions
+            .keys()
+            .copied()
+            .chain(self.field_targets())
+            .any(pred)
+    }
+
+    /// Every tracked-field target, dangling ones included.
+    fn field_targets(&self) -> impl Iterator<Item = RegionId> + '_ {
+        self.regions
+            .values()
+            .flat_map(|ctx| ctx.vars.values())
+            .flat_map(|vt| vt.fields.values().copied())
     }
 }
 
 impl fmt::Display for HeapCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (r, ctx) in &self.regions {
+        for (r, ctx) in self.regions.iter() {
             if !first {
                 write!(f, ", ")?;
             }
@@ -242,7 +276,7 @@ pub struct Binding {
 /// The variable typing context `Γ`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct VarCtx {
-    vars: BTreeMap<Symbol, Binding>,
+    vars: Arc<BTreeMap<Symbol, Binding>>,
 }
 
 impl VarCtx {
@@ -264,18 +298,23 @@ impl VarCtx {
     /// Binds `x` (shadowing is rejected by the checker before calling
     /// this, since well-formed contexts have no duplicate bindings).
     pub fn bind(&mut self, x: Symbol, binding: Binding) {
-        self.vars.insert(x, binding);
+        Arc::make_mut(&mut self.vars).insert(x, binding);
     }
 
     /// Removes a binding (scope exit), returning it.
     pub fn unbind(&mut self, x: &Symbol) -> Option<Binding> {
-        self.vars.remove(x)
+        if !self.contains(x) {
+            return None;
+        }
+        Arc::make_mut(&mut self.vars).remove(x)
     }
 
     /// Re-binds an existing variable to a new region.
     pub fn set_region(&mut self, x: &Symbol, region: Option<RegionId>) {
-        if let Some(b) = self.vars.get_mut(x) {
-            b.region = region;
+        if self.get(x).is_some_and(|b| b.region != region) {
+            if let Some(b) = Arc::make_mut(&mut self.vars).get_mut(x) {
+                b.region = region;
+            }
         }
     }
 
@@ -295,20 +334,28 @@ impl VarCtx {
 
     /// Renames regions per `map` in all bindings.
     pub fn rename_all(&mut self, map: &BTreeMap<RegionId, RegionId>) {
-        for b in self.vars.values_mut() {
-            if let Some(r) = b.region {
-                if let Some(new) = map.get(&r) {
-                    b.region = Some(*new);
-                }
-            }
-        }
+        self.rename_where(|r| map.get(&r).copied());
     }
 
     /// Renames one region in all bindings.
     pub fn rename_region(&mut self, from: RegionId, to: RegionId) {
-        for b in self.vars.values_mut() {
-            if b.region == Some(from) {
-                b.region = Some(to);
+        self.rename_where(|r| (r == from).then_some(to));
+    }
+
+    /// Replaces each binding region `r` by `rename(r)` where that is
+    /// `Some`. The map is copied only when some binding really changes.
+    fn rename_where(&mut self, rename: impl Fn(RegionId) -> Option<RegionId>) {
+        let changes = |b: &Binding| {
+            b.region
+                .and_then(&rename)
+                .filter(|new| b.region != Some(*new))
+        };
+        if !self.vars.values().any(|b| changes(b).is_some()) {
+            return;
+        }
+        for b in Arc::make_mut(&mut self.vars).values_mut() {
+            if let Some(new) = changes(b) {
+                b.region = Some(new);
             }
         }
     }
@@ -327,7 +374,7 @@ impl VarCtx {
 impl fmt::Display for VarCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (x, b) in &self.vars {
+        for (x, b) in self.vars.iter() {
             if !first {
                 write!(f, ", ")?;
             }
@@ -456,6 +503,119 @@ mod tests {
 
     fn sym(s: &str) -> Symbol {
         Symbol::new(s)
+    }
+
+    /// Whether two states share both maps' allocations.
+    fn shares(a: &TypeState, b: &TypeState) -> bool {
+        Arc::ptr_eq(&a.heap.regions, &b.heap.regions) && Arc::ptr_eq(&a.gamma.vars, &b.gamma.vars)
+    }
+
+    /// `r0⟨l[hd ↦ r1]⟩, r1⟨⟩, r2°⟨⟩; l : r0 sll, d : r2 data, n : int`.
+    fn sample() -> TypeState {
+        let mut st = TypeState::new();
+        let [r0, r1, r2] = [st.fresh_region(), st.fresh_region(), st.fresh_region()];
+        let mut vt = VarTrack::default();
+        vt.fields.insert(sym("hd"), r1);
+        let mut ctx = TrackCtx::empty();
+        ctx.vars.insert(sym("l"), vt);
+        st.heap.insert(r0, ctx);
+        st.heap.insert(r1, TrackCtx::empty());
+        st.heap.insert(
+            r2,
+            TrackCtx {
+                pinned: true,
+                ..TrackCtx::default()
+            },
+        );
+        for (x, region, ty) in [
+            ("l", Some(r0), Type::named("sll")),
+            ("d", Some(r2), Type::named("data")),
+            ("n", None, Type::Int),
+        ] {
+            st.gamma.bind(sym(x), Binding { region, ty });
+        }
+        st
+    }
+
+    type Mutator = (&'static str, fn(&mut TypeState));
+    const R0: RegionId = RegionId(0);
+    const R1: RegionId = RegionId(1);
+    const R2: RegionId = RegionId(2);
+    const R9: RegionId = RegionId(9);
+    const R42: RegionId = RegionId(42);
+
+    #[test]
+    fn mutators_leave_earlier_clones_unchanged() {
+        let mutators: [Mutator; 10] = [
+            ("heap.insert", |st| st.heap.insert(R9, TrackCtx::empty())),
+            ("heap.remove", |st| drop(st.heap.remove(R1))),
+            ("heap.tracking_mut", |st| {
+                st.heap.tracking_mut(R0).unwrap().pinned = true;
+            }),
+            ("heap.rename_region", |st| st.heap.rename_region(R1, R9)),
+            ("heap.rename_all", |st| {
+                st.heap.rename_all(&BTreeMap::from([(R0, R9)]));
+            }),
+            ("gamma.bind", |st| {
+                let b = Binding {
+                    region: None,
+                    ty: Type::Bool,
+                };
+                st.gamma.bind(sym("b"), b);
+            }),
+            ("gamma.unbind", |st| drop(st.gamma.unbind(&sym("n")))),
+            ("gamma.set_region", |st| {
+                st.gamma.set_region(&sym("d"), Some(R1));
+            }),
+            ("gamma.rename_region", |st| st.gamma.rename_region(R2, R9)),
+            ("gamma.rename_all", |st| {
+                st.gamma.rename_all(&BTreeMap::from([(R2, R9)]));
+            }),
+        ];
+        for (name, mutate) in mutators {
+            let mut st = sample();
+            let before = st.clone();
+            let snapshot = format!("{before:?}");
+            mutate(&mut st);
+            assert_ne!(st, before, "{name} changed nothing");
+            assert!(!shares(&st, &before), "{name} wrote through a shared map");
+            assert_eq!(format!("{before:?}"), snapshot, "{name} changed a clone");
+            assert_eq!(before, sample(), "{name} changed a clone");
+        }
+    }
+
+    #[test]
+    fn mutators_that_change_nothing_keep_sharing() {
+        let noops: [Mutator; 7] = [
+            ("heap.remove of an absent region", |st| {
+                assert!(st.heap.remove(R42).is_none());
+            }),
+            ("heap.rename_region of an unmentioned id", |st| {
+                st.heap.rename_region(R42, R1);
+            }),
+            ("heap.rename_region onto itself", |st| {
+                st.heap.rename_region(R0, R0);
+            }),
+            ("heap.rename_all with no match", |st| {
+                st.heap.rename_all(&BTreeMap::from([(R42, R1)]));
+            }),
+            ("gamma.set_region to the same region", |st| {
+                st.gamma.set_region(&sym("l"), Some(R0));
+            }),
+            ("gamma.rename_region with no match", |st| {
+                st.gamma.rename_region(R42, R1);
+            }),
+            ("gamma.rename_all with no match", |st| {
+                st.gamma.rename_all(&BTreeMap::from([(R42, R1)]));
+            }),
+        ];
+        for (name, mutate) in noops {
+            let mut st = sample();
+            let before = st.clone();
+            mutate(&mut st);
+            assert!(shares(&st, &before), "{name} copied a map");
+            assert_eq!(st, before, "{name} changed the state");
+        }
     }
 
     #[test]

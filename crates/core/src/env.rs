@@ -103,6 +103,33 @@ impl Globals {
         Ok(globals)
     }
 
+    /// Re-elaborates the signature of `f`, an edited copy of a function
+    /// this environment defines, and returns the signature it replaces
+    /// (for [`Globals::restore_sig`]). Struct validation and every other
+    /// signature stay as they were, so the result equals a
+    /// [`Globals::build`] of the edited program when the edit changes only
+    /// `f`'s annotations: no other signature reads them.
+    ///
+    /// # Errors
+    ///
+    /// Reports the edited signature's elaboration error, or a function
+    /// this environment does not define, and then changes nothing.
+    pub fn patch_sig(&mut self, f: &FnDef) -> Result<FnSig, TypeError> {
+        let sig = self.elaborate_sig(f)?;
+        match self.sigs.get_mut(&f.name) {
+            Some(slot) => Ok(std::mem::replace(slot, sig)),
+            None => Err(TypeError::new(
+                format!("unknown function `{}`", f.name),
+                f.span,
+            )),
+        }
+    }
+
+    /// Puts back a signature that [`Globals::patch_sig`] replaced.
+    pub fn restore_sig(&mut self, sig: FnSig) {
+        self.sigs.insert(sig.name.clone(), sig);
+    }
+
     /// Looks up a struct definition.
     pub fn struct_def(&self, name: &Symbol) -> Option<&StructDef> {
         self.structs.get(name)

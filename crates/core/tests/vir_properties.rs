@@ -1,7 +1,8 @@
 //! Property tests for the virtual-transformation layer: random sequences
 //! of *applicable* transformations must preserve context well-formedness,
-//! canonicalization must be invariant under alpha-renaming, and the
-//! capability interpretation must be monotone under the weakening steps.
+//! canonicalization must be invariant under alpha-renaming, the
+//! capability interpretation must be monotone under the weakening steps,
+//! and a step applied to a clone must leave the original as it was.
 
 use proptest::prelude::*;
 
@@ -126,6 +127,33 @@ proptest! {
                 .unwrap_or_else(|m| panic!("applicable step failed: {step}: {m}"));
             st.well_formed()
                 .unwrap_or_else(|m| panic!("ill-formed after {step}: {m}"));
+        }
+    }
+
+    /// States are copy-on-write: applying steps to a clone never changes
+    /// the state it was cloned from, however many clones share its maps.
+    #[test]
+    fn steps_on_a_clone_leave_the_original_unchanged(
+        vars in 1usize..5,
+        regions in 1usize..4,
+        choices in prop::collection::vec(0usize..1000, 0..30),
+    ) {
+        let globals = globals();
+        let mut st = initial(vars, regions);
+        // Every state of the run, next to a rendering taken before any
+        // later step ran.
+        let mut earlier: Vec<(TypeState, String)> = Vec::new();
+        for c in choices {
+            let moves = applicable(&globals, &st);
+            if moves.is_empty() {
+                break;
+            }
+            earlier.push((st.clone(), format!("{st:?}")));
+            let step = moves[c % moves.len()].clone();
+            vir::apply(&mut st, &step).unwrap();
+        }
+        for (state, rendered) in &earlier {
+            prop_assert_eq!(&format!("{state:?}"), rendered);
         }
     }
 

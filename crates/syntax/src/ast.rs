@@ -413,7 +413,7 @@ pub enum ExprKind {
 
 impl Expr {
     /// Walks the expression tree, invoking `f` on every node (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match &self.kind {
             ExprKind::Unit

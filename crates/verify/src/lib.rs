@@ -137,9 +137,9 @@ pub fn verify_derivation_in_mode(
     derivation: &Derivation,
     mode: fearless_core::CheckerMode,
 ) -> Result<VerifyReport, VerifyError> {
-    let mut exprs: HashMap<ExprId, Expr> = HashMap::new();
+    let mut exprs: HashMap<ExprId, &Expr> = HashMap::new();
     def.body.walk(&mut |e| {
-        exprs.insert(e.id, e.clone());
+        exprs.insert(e.id, e);
     });
     let mut cx = rules::Cx {
         globals,

@@ -15,7 +15,7 @@ pub(crate) struct Cx<'a> {
     pub globals: &'a Globals,
     pub def: &'a FnDef,
     pub derivation: &'a Derivation,
-    pub exprs: HashMap<ExprId, Expr>,
+    pub exprs: HashMap<ExprId, &'a Expr>,
     pub mode: fearless_core::CheckerMode,
     pub report: VerifyReport,
 }
@@ -55,6 +55,7 @@ impl<'a> Cx<'a> {
         let id = id.ok_or_else(|| self.err(Some(node_idx), "rule node without expression"))?;
         self.exprs
             .get(&id)
+            .copied()
             .ok_or_else(|| self.err(Some(node_idx), format!("unknown expression {id}")))
     }
 
