@@ -9,7 +9,7 @@
 use std::path::Path;
 
 use fearless_core::{check_program, CheckerOptions};
-use fearless_flow::{FlowCache, FlowTable};
+use fearless_flow::FlowCache;
 use fearless_incr::{check_units, DiskCache, Store, Table, UnitReport};
 use fearless_syntax::Program;
 use fearless_trace::Tracer;
@@ -80,12 +80,9 @@ pub struct DrillOutcome {
     pub document: &'static str,
     /// Corruption class.
     pub class: String,
-    /// Load outcome: `true` when the loader flagged a recovery. A bit
-    /// flip that the check table's reader tolerates (a leading zero
-    /// before an integer) can legitimately load clean — `recovered`
-    /// reports what happened, and `reports_match` is the invariant that
-    /// must always hold. The flow table has no integers, so every class
-    /// recovers there.
+    /// Load outcome: `true` when the loader flagged a recovery. The
+    /// store checksums every byte of the document as read, so every
+    /// class recovers on both tables.
     pub recovered: bool,
     /// The loader's reason, when recovered.
     pub reason: Option<&'static str>,
@@ -98,10 +95,10 @@ pub struct DrillOutcome {
 }
 
 impl DrillOutcome {
-    /// The drill's invariant: output byte-identical to the cold run and,
-    /// on the flow table, a surfaced recovery.
+    /// The drill's invariant: output byte-identical to the cold run and a
+    /// surfaced recovery.
     pub fn ok(&self) -> bool {
-        self.reports_match && (self.recovered || self.document != FlowTable::FILE)
+        self.reports_match && self.recovered
     }
 }
 
@@ -315,8 +312,8 @@ mod tests {
 
     #[test]
     fn garbage_and_version_bump_always_recover() {
-        // These two classes can never load clean, whatever the seed (and
-        // on the flow table no class can, which `ok` checks).
+        // No class can load clean, whatever the seed (`ok` checks it);
+        // these two also count exactly one recovery in the check run.
         let units = corpus_units();
         let dir = drill_dir("certain");
         for seed in [1u64, 99, 12345] {

@@ -2,10 +2,13 @@
 //! signatures (the semantic form of §4.9's surface annotations).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::OnceLock;
 
 use fearless_syntax::{FnDef, Program, RegionPath, StructDef, Symbol, Type};
 
 use crate::error::TypeError;
+use crate::fingerprint;
 use crate::mode::CheckerMode;
 
 /// An elaborated function signature.
@@ -62,10 +65,67 @@ impl FnSig {
 }
 
 /// Validated global environment for a program.
+///
+/// Each entry also memoizes what fingerprinting reads off it: a 128-bit
+/// digest per signature and per struct, and each struct's field closure
+/// with the digest of the declarations in it. They are computed on first
+/// use, at most once per entry, so checking and verifying never pay for
+/// them. The memos take no part in `Debug`.
 #[derive(Clone, Debug, Default)]
 pub struct Globals {
-    structs: BTreeMap<Symbol, StructDef>,
-    sigs: BTreeMap<Symbol, FnSig>,
+    structs: BTreeMap<Symbol, StructEntry>,
+    sigs: BTreeMap<Symbol, SigEntry>,
+}
+
+/// A validated struct declaration and its fingerprint memos.
+#[derive(Clone)]
+struct StructEntry {
+    def: StructDef,
+    digest: OnceLock<u128>,
+    /// The struct names reachable through field types, this one
+    /// included, in sorted order.
+    closure: OnceLock<Box<[Symbol]>>,
+    /// The digest of every declaration in `closure`.
+    closure_digest: OnceLock<u128>,
+}
+
+/// An elaborated signature and its memoized digest.
+#[derive(Clone)]
+struct SigEntry {
+    sig: FnSig,
+    digest: OnceLock<u128>,
+}
+
+impl StructEntry {
+    fn new(def: StructDef) -> Self {
+        StructEntry {
+            def,
+            digest: OnceLock::new(),
+            closure: OnceLock::new(),
+            closure_digest: OnceLock::new(),
+        }
+    }
+}
+
+impl SigEntry {
+    fn new(sig: FnSig) -> Self {
+        SigEntry {
+            sig,
+            digest: OnceLock::new(),
+        }
+    }
+}
+
+impl fmt::Debug for StructEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.def.fmt(f)
+    }
+}
+
+impl fmt::Debug for SigEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.sig.fmt(f)
+    }
 }
 
 impl Globals {
@@ -85,7 +145,9 @@ impl Globals {
                     s.span,
                 ));
             }
-            globals.structs.insert(s.name.clone(), s.clone());
+            globals
+                .structs
+                .insert(s.name.clone(), StructEntry::new(s.clone()));
         }
         for s in &program.structs {
             globals.validate_struct(s, mode)?;
@@ -98,7 +160,7 @@ impl Globals {
                 ));
             }
             let sig = globals.elaborate_sig(f)?;
-            globals.sigs.insert(f.name.clone(), sig);
+            globals.sigs.insert(f.name.clone(), SigEntry::new(sig));
         }
         Ok(globals)
     }
@@ -108,7 +170,8 @@ impl Globals {
     /// (for [`Globals::restore_sig`]). Struct validation and every other
     /// signature stay as they were, so the result equals a
     /// [`Globals::build`] of the edited program when the edit changes only
-    /// `f`'s annotations: no other signature reads them.
+    /// `f`'s annotations: no other signature reads them. Only the patched
+    /// entry's digest memo starts over.
     ///
     /// # Errors
     ///
@@ -117,7 +180,7 @@ impl Globals {
     pub fn patch_sig(&mut self, f: &FnDef) -> Result<FnSig, TypeError> {
         let sig = self.elaborate_sig(f)?;
         match self.sigs.get_mut(&f.name) {
-            Some(slot) => Ok(std::mem::replace(slot, sig)),
+            Some(slot) => Ok(std::mem::replace(slot, SigEntry::new(sig)).sig),
             None => Err(TypeError::new(
                 format!("unknown function `{}`", f.name),
                 f.span,
@@ -127,22 +190,69 @@ impl Globals {
 
     /// Puts back a signature that [`Globals::patch_sig`] replaced.
     pub fn restore_sig(&mut self, sig: FnSig) {
-        self.sigs.insert(sig.name.clone(), sig);
+        self.sigs.insert(sig.name.clone(), SigEntry::new(sig));
     }
 
     /// Looks up a struct definition.
     pub fn struct_def(&self, name: &Symbol) -> Option<&StructDef> {
-        self.structs.get(name)
+        self.structs.get(name).map(|e| &e.def)
     }
 
     /// Looks up an elaborated signature.
     pub fn sig(&self, name: &Symbol) -> Option<&FnSig> {
-        self.sigs.get(name)
+        self.sigs.get(name).map(|e| &e.sig)
     }
 
     /// Iterates over all signatures.
     pub fn sigs(&self) -> impl Iterator<Item = &FnSig> {
-        self.sigs.values()
+        self.sigs.values().map(|e| &e.sig)
+    }
+
+    /// An elaborated signature with its digest, computed on first use.
+    pub(crate) fn digested_sig(&self, name: &Symbol) -> Option<(&FnSig, u128)> {
+        let e = self.sigs.get(name)?;
+        Some((
+            &e.sig,
+            *e.digest.get_or_init(|| fingerprint::sig_digest(&e.sig)),
+        ))
+    }
+
+    /// The digest of a struct declaration, computed on first use.
+    pub(crate) fn struct_digest(&self, name: &Symbol) -> Option<u128> {
+        let e = self.structs.get(name)?;
+        Some(*e.digest.get_or_init(|| fingerprint::struct_digest(&e.def)))
+    }
+
+    /// The digest of every struct declaration reachable from `name` (its
+    /// [`Globals::struct_closure`]), computed on first use.
+    pub(crate) fn closure_digest(&self, name: &Symbol) -> Option<u128> {
+        let e = self.structs.get(name)?;
+        Some(*e.closure_digest.get_or_init(|| {
+            let closure = self.struct_closure(name).unwrap_or_default();
+            fingerprint::closure_digest(closure.iter().map(|s| (s, self.struct_digest(s))))
+        }))
+    }
+
+    /// The struct names reachable from `name` through field types, `name`
+    /// included, in sorted order; computed on first use.
+    pub(crate) fn struct_closure(&self, name: &Symbol) -> Option<&[Symbol]> {
+        let e = self.structs.get(name)?;
+        Some(e.closure.get_or_init(|| {
+            let mut reachable = BTreeSet::new();
+            let mut stack = vec![name.clone()];
+            while let Some(next) = stack.pop() {
+                if !reachable.insert(next.clone()) {
+                    continue;
+                }
+                let fields = self.struct_def(&next).into_iter().flat_map(|d| &d.fields);
+                for inner in fields.filter_map(|f| f.ty.struct_name()) {
+                    if !reachable.contains(inner) {
+                        stack.push(inner.clone());
+                    }
+                }
+            }
+            reachable.into_iter().collect()
+        }))
     }
 
     fn resolve_type(&self, ty: &Type, span: fearless_syntax::Span) -> Result<(), TypeError> {
@@ -259,7 +369,7 @@ impl Globals {
                     let sname = param_tys[idx].struct_name().cloned().ok_or_else(|| {
                         TypeError::new(format!("parameter `{p}` is not a struct"), f.span)
                     })?;
-                    let sdef = self.structs.get(&sname).ok_or_else(|| {
+                    let sdef = self.struct_def(&sname).ok_or_else(|| {
                         TypeError::new(format!("unknown struct `{sname}`"), f.span)
                     })?;
                     match sdef.field(fld) {

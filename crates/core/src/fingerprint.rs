@@ -9,13 +9,24 @@
 //! identical:
 //!
 //! * the checker options (mode, oracle, search budget),
-//! * the function definition itself (annotations and body, via the
-//!   span-free pretty-printer, so formatting and source position do not
-//!   perturb the hash),
+//! * the function definition itself (annotations and body), hashed by
+//!   an allocation-free walk of the AST that skips spans and `ExprId`s,
+//!   so formatting and source position do not perturb the hash,
 //! * the elaborated signature of every callee, in sorted order, and
 //! * every reachable struct declaration — those named in the function's
 //!   parameter/result types, in its body (`new`, `recv`), or in a callee
 //!   signature, closed transitively over field types.
+//!
+//! Callee signatures enter as 128-bit digests, and structs as the digest
+//! of each directly named struct's field closure. [`Globals`] memoizes
+//! both per entry, so fingerprinting a whole program digests each
+//! signature and each struct at most once.
+//!
+//! The byte stream is fixed by this module, not by `derive(Hash)`: every
+//! variant writes its own tag, every string and sequence is
+//! length-prefixed, and integers are little-endian, so fingerprints are
+//! stable across platforms, runs and compiler versions — the on-disk
+//! stores depend on it.
 //!
 //! This is the key of the one check-outcome store, `fearless-incr`'s
 //! check table, which serves `fearlessc check --cache` and the daemon,
@@ -25,10 +36,12 @@
 //! the hash covers, to find the functions an annotation deletion can
 //! reach.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use fearless_syntax::{pretty, Expr, ExprKind, FnDef, Symbol, Type};
+use fearless_syntax::{
+    Expr, ExprKind, FnDef, RegionPath, RegionRel, StructDef, Symbol, Type, UnOp,
+};
 
 use crate::env::{FnSig, Globals};
 use crate::mode::CheckerOptions;
@@ -84,75 +97,328 @@ impl Fnv {
         }
     }
 
-    /// Writes a length-prefixed string (prefixing prevents ambiguity
-    /// between adjacent components).
-    fn write_str(&mut self, s: &str) {
-        self.write(&(s.len() as u64).to_le_bytes());
+    /// Writes a variant tag.
+    fn tag(&mut self, tag: u8) {
+        self.write(&[tag]);
+    }
+
+    /// Writes an integer (little-endian, so the stream is the same on
+    /// every platform).
+    fn u64(&mut self, n: u64) {
+        self.write(&n.to_le_bytes());
+    }
+
+    /// Writes a sequence length (prefixing prevents ambiguity between
+    /// adjacent components) as an unsigned LEB128 varint, least
+    /// significant group first: one byte for any length below 128.
+    fn len(&mut self, n: usize) {
+        let mut n = n as u64;
+        while n >= 0x80 {
+            self.tag((n as u8) | 0x80);
+            n >>= 7;
+        }
+        self.tag(n as u8);
+    }
+
+    /// Writes a length-prefixed string.
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
         self.write(s.as_bytes());
     }
 
-    fn finish(self) -> Fingerprint {
-        Fingerprint(self.0)
+    /// Writes a length-prefixed list of names.
+    fn syms<'a>(&mut self, syms: impl ExactSizeIterator<Item = &'a Symbol>) {
+        self.len(syms.len());
+        for s in syms {
+            self.str(s.as_str());
+        }
+    }
+
+    /// Writes a dependency: its memoized digest (which covers the name),
+    /// or, for a name the environment does not define, the name behind an
+    /// absence marker (so that *adding* it also invalidates).
+    fn entry(&mut self, name: &Symbol, digest: Option<u128>) {
+        match digest {
+            Some(d) => {
+                self.tag(1);
+                self.write(&d.to_le_bytes());
+            }
+            None => {
+                self.tag(0);
+                self.str(name.as_str());
+            }
+        }
+    }
+
+    fn ty(&mut self, ty: &Type) {
+        match ty {
+            Type::Unit => self.tag(0),
+            Type::Int => self.tag(1),
+            Type::Bool => self.tag(2),
+            Type::Named(name) => {
+                self.tag(3);
+                self.str(name.as_str());
+            }
+            Type::Maybe(inner) => {
+                self.tag(4);
+                self.ty(inner);
+            }
+        }
+    }
+
+    fn path(&mut self, path: &RegionPath) {
+        match path {
+            RegionPath::Result => self.tag(0),
+            RegionPath::Param(p) => {
+                self.tag(1);
+                self.str(p.as_str());
+            }
+            RegionPath::Field(p, f) => {
+                self.tag(2);
+                self.str(p.as_str());
+                self.str(f.as_str());
+            }
+        }
+    }
+
+    fn rels(&mut self, rels: &[RegionRel]) {
+        self.len(rels.len());
+        for r in rels {
+            self.path(&r.lhs);
+            self.path(&r.rhs);
+        }
+    }
+
+    fn exprs(&mut self, es: &[Expr]) {
+        self.len(es.len());
+        for e in es {
+            self.expr(e);
+        }
+    }
+
+    /// Writes an expression tree: one tag per variant, then its fields in
+    /// declaration order. Spans and `ExprId`s are skipped.
+    fn expr(&mut self, e: &Expr) {
+        match &e.kind {
+            ExprKind::Unit => self.tag(0),
+            ExprKind::Int(n) => {
+                self.tag(1);
+                self.write(&n.to_le_bytes());
+            }
+            ExprKind::Bool(b) => {
+                self.tag(2);
+                self.tag(u8::from(*b));
+            }
+            ExprKind::Var(x) => {
+                self.tag(3);
+                self.str(x.as_str());
+            }
+            ExprKind::SelfRef => self.tag(4),
+            ExprKind::Field(r, f) => {
+                self.tag(5);
+                self.expr(r);
+                self.str(f.as_str());
+            }
+            ExprKind::AssignVar(x, v) => {
+                self.tag(6);
+                self.str(x.as_str());
+                self.expr(v);
+            }
+            ExprKind::AssignField(r, f, v) => {
+                self.tag(7);
+                self.expr(r);
+                self.str(f.as_str());
+                self.expr(v);
+            }
+            ExprKind::Take(r, f) => {
+                self.tag(8);
+                self.expr(r);
+                self.str(f.as_str());
+            }
+            ExprKind::Let { var, init, body } => {
+                self.tag(9);
+                self.str(var.as_str());
+                self.expr(init);
+                self.expr(body);
+            }
+            ExprKind::LetSome {
+                var,
+                init,
+                then_branch,
+                else_branch,
+            } => {
+                self.tag(10);
+                self.str(var.as_str());
+                self.expr(init);
+                self.expr(then_branch);
+                self.expr(else_branch);
+            }
+            ExprKind::Seq(es) => {
+                self.tag(11);
+                self.exprs(es);
+            }
+            ExprKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                self.tag(12);
+                self.expr(cond);
+                self.expr(then_branch);
+                self.expr(else_branch);
+            }
+            ExprKind::IfDisconnected {
+                a,
+                b,
+                then_branch,
+                else_branch,
+            } => {
+                self.tag(13);
+                self.str(a.as_str());
+                self.str(b.as_str());
+                self.expr(then_branch);
+                self.expr(else_branch);
+            }
+            ExprKind::While { cond, body } => {
+                self.tag(14);
+                self.expr(cond);
+                self.expr(body);
+            }
+            ExprKind::New(s, args) => {
+                self.tag(15);
+                self.str(s.as_str());
+                self.exprs(args);
+            }
+            ExprKind::SomeOf(v) => {
+                self.tag(16);
+                self.expr(v);
+            }
+            ExprKind::NoneOf => self.tag(17),
+            ExprKind::IsNone(v) => {
+                self.tag(18);
+                self.expr(v);
+            }
+            ExprKind::IsSome(v) => {
+                self.tag(19);
+                self.expr(v);
+            }
+            ExprKind::Call(f, args) => {
+                self.tag(20);
+                self.str(f.as_str());
+                self.exprs(args);
+            }
+            ExprKind::Send(v) => {
+                self.tag(21);
+                self.expr(v);
+            }
+            ExprKind::Recv(ty) => {
+                self.tag(22);
+                self.ty(ty);
+            }
+            ExprKind::Binary(op, a, b) => {
+                self.tag(23);
+                self.str(op.as_str());
+                self.expr(a);
+                self.expr(b);
+            }
+            ExprKind::Unary(op, v) => {
+                self.tag(24);
+                self.tag(match op {
+                    UnOp::Not => 0,
+                    UnOp::Neg => 1,
+                });
+                self.expr(v);
+            }
+        }
+    }
+
+    /// Writes a function definition: name, parameters, result type,
+    /// annotations in surface order, and body.
+    fn fn_def(&mut self, f: &FnDef) {
+        self.str(f.name.as_str());
+        self.len(f.params.len());
+        for p in &f.params {
+            self.str(p.name.as_str());
+            self.ty(&p.ty);
+        }
+        self.ty(&f.ret);
+        let ann = &f.annotations;
+        self.syms(ann.consumes.iter());
+        self.syms(ann.pinned.iter());
+        self.rels(&ann.after);
+        self.rels(&ann.before);
+        self.expr(&f.body);
+    }
+
+    fn finish(self) -> u128 {
+        self.0
     }
 }
 
-/// Stable textual digest of an elaborated signature. Everything
-/// `check_fn` reads off a callee's [`FnSig`] is included.
-fn sig_digest(sig: &FnSig) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(out, "fn {}(", sig.name);
-    for (p, ty) in sig.params.iter().zip(&sig.param_tys) {
-        let _ = write!(out, "{p}:{ty},");
+#[cfg(test)]
+thread_local! {
+    /// Signature and struct digests computed on this thread, for the
+    /// digest-once test.
+    static DIGESTS_COMPUTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The digest of an elaborated signature: everything `check_fn` reads
+/// off a callee's [`FnSig`]. [`Globals`] memoizes it per entry.
+pub(crate) fn sig_digest(sig: &FnSig) -> u128 {
+    #[cfg(test)]
+    DIGESTS_COMPUTED.with(|n| n.set(n.get() + 1));
+    let mut h = Fnv::new();
+    h.str(sig.name.as_str());
+    h.syms(sig.params.iter());
+    h.len(sig.param_tys.len());
+    for ty in &sig.param_tys {
+        h.ty(ty);
     }
-    let _ = write!(out, "):{}", sig.ret);
-    let _ = write!(out, " consumes[");
-    for p in &sig.consumes {
-        let _ = write!(out, "{p},");
-    }
-    let _ = write!(out, "] pinned[");
-    for p in &sig.pinned {
-        let _ = write!(out, "{p},");
-    }
-    let _ = write!(out, "] in[");
+    h.ty(&sig.ret);
+    h.syms(sig.consumes.iter());
+    h.syms(sig.pinned.iter());
+    h.len(sig.input_classes.len());
     for class in &sig.input_classes {
-        let _ = write!(out, "(");
-        for p in class {
-            let _ = write!(out, "{p},");
-        }
-        let _ = write!(out, ")");
+        h.syms(class.iter());
     }
-    let _ = write!(out, "] out[");
+    h.len(sig.output_classes.len());
     for class in &sig.output_classes {
-        let _ = write!(out, "(");
-        for p in class {
-            let _ = write!(out, "{p},");
+        h.len(class.len());
+        for path in class {
+            h.path(path);
         }
-        let _ = write!(out, ")");
     }
-    let _ = write!(out, "] ann:{}", sig.annotation_count);
-    out
+    h.u64(sig.annotation_count as u64);
+    h.finish()
 }
 
-/// Collects the struct names mentioned by a type.
-fn type_structs(ty: &Type, out: &mut BTreeSet<Symbol>) {
-    if let Some(name) = ty.struct_name() {
-        out.insert(name.clone());
+/// The digest of a struct declaration: its name and every field's name,
+/// `iso` flag and type. [`Globals`] memoizes it per entry.
+pub(crate) fn struct_digest(def: &StructDef) -> u128 {
+    #[cfg(test)]
+    DIGESTS_COMPUTED.with(|n| n.set(n.get() + 1));
+    let mut h = Fnv::new();
+    h.str(def.name.as_str());
+    h.len(def.fields.len());
+    for f in &def.fields {
+        h.str(f.name.as_str());
+        h.tag(u8::from(f.iso));
+        h.ty(&f.ty);
     }
+    h.finish()
 }
 
-/// Collects callee names and directly mentioned struct names from a body.
-fn body_refs(body: &Expr, callees: &mut BTreeSet<Symbol>, structs: &mut BTreeSet<Symbol>) {
-    body.walk(&mut |e| match &e.kind {
-        ExprKind::Call(name, _) => {
-            callees.insert(name.clone());
-        }
-        ExprKind::New(name, _) => {
-            structs.insert(name.clone());
-        }
-        ExprKind::Recv(ty) => type_structs(ty, structs),
-        _ => {}
-    });
+/// The digest of a struct's field closure: each reachable declaration's
+/// name and digest, in sorted order. [`Globals`] memoizes it per entry.
+pub(crate) fn closure_digest<'a>(
+    closure: impl ExactSizeIterator<Item = (&'a Symbol, Option<u128>)>,
+) -> u128 {
+    let mut h = Fnv::new();
+    h.len(closure.len());
+    for (name, digest) in closure {
+        h.entry(name, digest);
+    }
+    h.finish()
 }
 
 /// The names a function's check consults beyond its own definition: the
@@ -172,45 +438,64 @@ pub struct FnDeps {
 
 /// Collects the dependency set of `def` in the environment `globals`.
 pub fn fn_deps(globals: &Globals, def: &FnDef) -> FnDeps {
-    let mut callees = BTreeSet::new();
+    let (callees, direct) = direct_deps(globals, def);
+    // Close over field types, through each struct's memoized closure.
     let mut structs = BTreeSet::new();
-    body_refs(&def.body, &mut callees, &mut structs);
-    for p in &def.params {
-        type_structs(&p.ty, &mut structs);
-    }
-    type_structs(&def.ret, &mut structs);
-
-    // The function's own elaborated signature counts as a callee's. (It
-    // is derivable from the definition text, but hashing the elaborated
-    // form guards against elaboration changes.)
-    callees.insert(def.name.clone());
-    for sig in callees.iter().filter_map(|name| globals.sig(name)) {
-        for ty in sig.param_tys.iter().chain(std::iter::once(&sig.ret)) {
-            type_structs(ty, &mut structs);
-        }
-    }
-
-    // Close over field types.
-    let mut reachable: BTreeSet<Symbol> = BTreeSet::new();
-    let mut queue: VecDeque<Symbol> = structs.into_iter().collect();
-    while let Some(name) = queue.pop_front() {
-        if !reachable.insert(name.clone()) {
-            continue;
-        }
-        if let Some(sdef) = globals.struct_def(&name) {
-            for field in &sdef.fields {
-                if let Some(inner) = field.ty.struct_name() {
-                    if !reachable.contains(inner) {
-                        queue.push_back(inner.clone());
-                    }
-                }
+    for name in direct {
+        match globals.struct_closure(name) {
+            Some(closure) => structs.extend(closure.iter().cloned()),
+            None => {
+                structs.insert(name.clone());
             }
         }
     }
     FnDeps {
-        callees,
-        structs: reachable,
+        callees: callees.into_iter().map(|(name, _)| name.clone()).collect(),
+        structs,
     }
+}
+
+/// The sorted, deduplicated callees of `def` (the function itself
+/// included), each with its signature digest when `globals` defines it,
+/// and the struct names its check reads directly: those named in its
+/// parameter/result types, in its body (`new`, `recv`), or in a callee
+/// signature. [`fn_deps`] closes the latter over field types.
+fn direct_deps<'a>(
+    globals: &'a Globals,
+    def: &'a FnDef,
+) -> (Vec<(&'a Symbol, Option<u128>)>, Vec<&'a Symbol>) {
+    // The function's own elaborated signature counts as a callee's. (It
+    // is derivable from the definition text, but hashing the elaborated
+    // form guards against elaboration changes.)
+    let mut callees = vec![&def.name];
+    let mut direct = Vec::new();
+    def.body.walk(&mut |e| match &e.kind {
+        ExprKind::Call(name, _) => callees.push(name),
+        ExprKind::New(name, _) => direct.push(name),
+        ExprKind::Recv(ty) => direct.extend(ty.struct_name()),
+        _ => {}
+    });
+    sort_dedup(&mut callees);
+    let own_tys = def.params.iter().map(|p| &p.ty).chain([&def.ret]);
+    direct.extend(own_tys.filter_map(Type::struct_name));
+    let callees = callees
+        .into_iter()
+        .map(|name| {
+            let sig = globals.digested_sig(name);
+            if let Some((sig, _)) = sig {
+                let tys = sig.param_tys.iter().chain([&sig.ret]);
+                direct.extend(tys.filter_map(Type::struct_name));
+            }
+            (name, sig.map(|(_, digest)| digest))
+        })
+        .collect();
+    sort_dedup(&mut direct);
+    (callees, direct)
+}
+
+fn sort_dedup(names: &mut Vec<&Symbol>) {
+    names.sort_unstable();
+    names.dedup();
 }
 
 /// Computes the content fingerprint of `def` in the environment
@@ -226,40 +511,35 @@ pub fn fn_fingerprint(globals: &Globals, options: &CheckerOptions, def: &FnDef) 
     let mut h = Fnv::new();
 
     // 1. Checker options.
-    h.write_str("options");
-    h.write_str(options.mode.name());
-    h.write(&[options.liveness_oracle as u8]);
-    h.write(&(options.search_node_budget as u64).to_le_bytes());
+    h.str("options");
+    h.str(options.mode.name());
+    h.tag(u8::from(options.liveness_oracle));
+    h.u64(options.search_node_budget as u64);
 
-    // 2. The function definition itself (span-free canonical form).
-    h.write_str("def");
-    h.write_str(&pretty::fn_to_string(def));
+    // 2. The function definition itself, without spans or ids.
+    h.str("def");
+    h.fn_def(def);
 
-    let deps = fn_deps(globals, def);
+    let (callees, direct) = direct_deps(globals, def);
 
-    // 3. The function's own elaborated signature plus every callee's.
-    h.write_str("sigs");
-    for name in &deps.callees {
-        h.write_str(name.as_str());
-        match globals.sig(name) {
-            Some(sig) => h.write_str(&sig_digest(sig)),
-            None => h.write_str("(absent)"),
-        }
+    // 3. The function's own elaborated signature plus every callee's, in
+    // sorted order. A digest covers its name.
+    h.str("sigs");
+    h.len(callees.len());
+    for (name, digest) in callees {
+        h.entry(name, digest);
     }
 
-    // 4. Every reachable struct declaration, in sorted order. Unknown
-    // names hash as absent so that *adding* a previously missing struct
-    // also invalidates.
-    h.write_str("structs");
-    for name in &deps.structs {
-        h.write_str(name.as_str());
-        match globals.struct_def(name) {
-            Some(sdef) => h.write_str(&pretty::struct_to_string(sdef)),
-            None => h.write_str("(absent)"),
-        }
+    // 4. Every reachable struct declaration: the closure digest of each
+    // directly named struct, in sorted order. The closures' union is
+    // `fn_deps(..).structs`.
+    h.str("structs");
+    h.len(direct.len());
+    for name in direct {
+        h.entry(name, globals.closure_digest(name));
     }
 
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Fingerprints every function of a program in definition order.
@@ -365,6 +645,223 @@ mod tests {
         let b =
             program_fingerprints(&program, &CheckerOptions::default().without_oracle()).unwrap();
         assert_ne!(a[0].1, b[0].1);
+    }
+
+    /// Every expression form, parameter, result type and annotation kind,
+    /// for the one-token edits below. Only `Globals::build` must accept
+    /// it: fingerprints do not need the bodies to check.
+    const FORMS: &str = "
+        struct data { value : int; other : int }
+        struct sll { iso hd : data?; iso tl : data? }
+        struct cell { iso next : cell?; d : data }
+        def callee(a : int) : int { a }
+        def forms(a : int, c : bool, d : data, l : sll, s : sll) : int {
+          let x = 1;
+          x = a + 2;
+          d.value = 3;
+          let t = take(l.hd);
+          let some(n) = t in { n.value } else { 4 };
+          if (c) { unit } else { 5 };
+          if disconnected(d, s) { 6 } else { 7 };
+          while (!c) { 8; };
+          let q = new data(9, 10);
+          let r = some(q);
+          let z = none;
+          is_none(r);
+          is_some(z);
+          callee(a);
+          send(q);
+          let w = recv(data);
+          let k = new cell(self, d);
+          true;
+          x
+        }
+        def annotated(x : data, y : data, z : data, w : data, l : sll, n : int) : data?
+            consumes z pinned x before: x ~ y after: l.hd ~ result { none }
+    ";
+
+    /// `(what, function, from, to)`: replacing the unique text `from` by
+    /// `to` is a one-token edit of `what` inside `function`.
+    const EDITS: &[(&str, &str, &str, &str)] = &[
+        ("Unit", "forms", "{ unit }", "{ none }"),
+        ("Int", "forms", "let x = 1;", "let x = 11;"),
+        ("Bool", "forms", "true;", "false;"),
+        ("Var", "forms", "  x\n", "  a\n"),
+        ("SelfRef", "forms", "cell(self", "cell(none"),
+        ("Field", "forms", "{ n.value }", "{ n.other }"),
+        ("AssignVar", "forms", "x = a + 2", "a = a + 2"),
+        ("AssignField", "forms", "d.value = 3", "d.other = 3"),
+        ("Take", "forms", "take(l.hd)", "take(l.tl)"),
+        ("Let", "forms", "let t =", "let u ="),
+        ("LetSome", "forms", "some(n)", "some(m)"),
+        ("Seq", "forms", "{ 8; }", "{ 8 }"),
+        ("If", "forms", "if (c)", "if (true)"),
+        (
+            "IfDisconnected",
+            "forms",
+            "disconnected(d, s)",
+            "disconnected(d, l)",
+        ),
+        ("While", "forms", "while (!c)", "while (!a)"),
+        ("New", "forms", "new data(9", "new sll(9"),
+        ("SomeOf", "forms", "some(q)", "some(d)"),
+        ("NoneOf", "forms", "z = none", "z = unit"),
+        ("IsNone", "forms", "is_none(r)", "is_some(r)"),
+        ("IsSome", "forms", "is_some(z)", "is_some(r)"),
+        ("Call", "forms", "callee(a);", "forms(a);"),
+        ("Send", "forms", "send(q)", "send(d)"),
+        ("Recv", "forms", "recv(data)", "recv(sll)"),
+        ("Binary", "forms", "a + 2", "a - 2"),
+        ("Unary", "forms", "(!c)", "(-c)"),
+        ("function name", "callee", "def callee(", "def callee2("),
+        ("parameter name", "annotated", "n : int", "m : int"),
+        ("parameter type", "annotated", "n : int", "n : bool"),
+        ("result type", "annotated", ") : data?", ") : sll?"),
+        ("consumes", "annotated", "consumes z", "consumes w"),
+        ("pinned", "annotated", "pinned x", "pinned w"),
+        ("before", "annotated", "x ~ y", "x ~ w"),
+        ("after", "annotated", "l.hd ~", "l.tl ~"),
+    ];
+
+    fn kind_name(kind: &ExprKind) -> &'static str {
+        match kind {
+            ExprKind::Unit => "Unit",
+            ExprKind::Int(_) => "Int",
+            ExprKind::Bool(_) => "Bool",
+            ExprKind::Var(_) => "Var",
+            ExprKind::SelfRef => "SelfRef",
+            ExprKind::Field(..) => "Field",
+            ExprKind::AssignVar(..) => "AssignVar",
+            ExprKind::AssignField(..) => "AssignField",
+            ExprKind::Take(..) => "Take",
+            ExprKind::Let { .. } => "Let",
+            ExprKind::LetSome { .. } => "LetSome",
+            ExprKind::Seq(_) => "Seq",
+            ExprKind::If { .. } => "If",
+            ExprKind::IfDisconnected { .. } => "IfDisconnected",
+            ExprKind::While { .. } => "While",
+            ExprKind::New(..) => "New",
+            ExprKind::SomeOf(_) => "SomeOf",
+            ExprKind::NoneOf => "NoneOf",
+            ExprKind::IsNone(_) => "IsNone",
+            ExprKind::IsSome(_) => "IsSome",
+            ExprKind::Call(..) => "Call",
+            ExprKind::Send(_) => "Send",
+            ExprKind::Recv(_) => "Recv",
+            ExprKind::Binary(..) => "Binary",
+            ExprKind::Unary(..) => "Unary",
+        }
+    }
+
+    fn fp_of(src: &str, func: &str) -> Fingerprint {
+        fps(src)
+            .into_iter()
+            .find(|(name, _)| name.as_str() == func)
+            .unwrap_or_else(|| panic!("no function `{func}`"))
+            .1
+    }
+
+    #[test]
+    fn every_one_token_edit_moves_the_fingerprint() {
+        for &(what, func, from, to) in EDITS {
+            assert_eq!(
+                FORMS.matches(from).count(),
+                1,
+                "{what}: `{from}` is not unique"
+            );
+            let edited = FORMS.replacen(from, to, 1);
+            let func_after = if what == "function name" {
+                "callee2"
+            } else {
+                func
+            };
+            assert_ne!(
+                fp_of(FORMS, func),
+                fp_of(&edited, func_after),
+                "{what}: `{from}` -> `{to}` kept the fingerprint"
+            );
+        }
+        // The table edits every expression form, and `forms` holds each.
+        let program = parse_program(FORMS).unwrap();
+        let mut kinds = BTreeSet::new();
+        program.funcs[1].body.walk(&mut |e| {
+            kinds.insert(kind_name(&e.kind));
+        });
+        let edited: BTreeSet<&str> = EDITS.iter().map(|e| e.0).collect();
+        for kind in &kinds {
+            assert!(edited.contains(kind), "no edit of `{kind}`");
+        }
+        assert_eq!(kinds.len(), 25, "`forms` lacks a form: {kinds:?}");
+    }
+
+    #[test]
+    fn spans_ids_and_formatting_do_not_move_fingerprints() {
+        // An earlier definition and extra blank lines shift every later
+        // span and renumber every later `ExprId`.
+        let shifted = format!("def zz() : int {{ 1 + 2 }}\n\n\n{SRC}");
+        let before = parse_program(SRC).unwrap();
+        let after = parse_program(&shifted).unwrap();
+        assert_ne!(before.funcs[0].body.id, after.funcs[1].body.id);
+        assert_ne!(before.funcs[0].body.span, after.funcs[1].body.span);
+        assert_eq!(fps(SRC)[..], fps(&shifted)[1..]);
+        let squeezed = SRC.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert_eq!(fps(SRC), fps(&squeezed));
+    }
+
+    #[test]
+    fn seed_42_digests_each_signature_and_struct_once() {
+        let src = fearless_synth::synthesize(&fearless_synth::SynthOptions {
+            seed: 42,
+            functions: 1000,
+            ..fearless_synth::SynthOptions::default()
+        });
+        let program = parse_program(&src).unwrap();
+        let options = CheckerOptions::default();
+        let computed = || DIGESTS_COMPUTED.with(std::cell::Cell::get);
+        let mut globals = Globals::build(&program, options.mode).unwrap();
+        assert_eq!(computed(), 0, "building the environment digests nothing");
+        let all = |globals: &Globals| -> Vec<Fingerprint> {
+            program
+                .funcs
+                .iter()
+                .map(|f| fn_fingerprint(globals, &options, f))
+                .collect()
+        };
+
+        // Each function's own signature is a dependency, so every
+        // signature is digested, and every struct some function reaches.
+        let first = all(&globals);
+        let distinct: BTreeSet<&Fingerprint> = first.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            first.len(),
+            "two functions share a fingerprint"
+        );
+        let mut reached = BTreeSet::new();
+        for f in &program.funcs {
+            reached.extend(fn_deps(&globals, f).structs);
+        }
+        let digests = program.funcs.len() + reached.len();
+        assert_eq!(computed(), digests);
+        assert_eq!(all(&globals), first);
+        assert_eq!(computed(), digests, "a second pass digests nothing");
+
+        // Patching one signature digests only that one again.
+        let annotated = program
+            .funcs
+            .iter()
+            .find(|f| f.annotations.count() > 0)
+            .unwrap();
+        let old = globals.patch_sig(annotated).unwrap();
+        assert_eq!(
+            all(&globals),
+            first,
+            "an unchanged patch keeps every fingerprint"
+        );
+        assert_eq!(computed(), digests + 1);
+        globals.restore_sig(old);
+        assert_eq!(all(&globals), first);
+        assert_eq!(computed(), digests + 2);
     }
 
     #[test]

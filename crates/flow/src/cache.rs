@@ -1,7 +1,7 @@
 //! The flow-summary table (`fearlessc flow --cache <dir>`).
 //!
 //! A second typed table in `fearless-incr`'s one fingerprint store: the
-//! document (`flow.json`, schema `fearless-flow-cache/1`) gets the
+//! document (`flow.json`, schema `fearless-flow-cache/2`) gets the
 //! store's embedded content checksum, atomic save, advisory save lock
 //! (`flow.lock`), and [`LoadOutcome`](fearless_incr::LoadOutcome)
 //! recovery signal, degrading to a cold start on *any* corruption.
@@ -147,7 +147,7 @@ pub struct FlowTable {
 
 impl Table for FlowTable {
     const FILE: &'static str = "flow.json";
-    const SCHEMA: &'static str = "fearless-flow-cache/1";
+    const SCHEMA: &'static str = "fearless-flow-cache/2";
     const FIELDS: &'static [&'static str] = &["entries"];
 
     fn to_fields(&self) -> Vec<Json> {
@@ -261,6 +261,34 @@ mod tests {
     }
 
     #[test]
+    fn a_schema_1_document_is_one_cold_recovery() {
+        let dir = temp_dir("schema-1");
+        let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
+        let mut cold = FlowCache::load(&dir);
+        let cold_flow = analyze_checked_cached(&checked, &mut cold).expect("analyzes");
+        cold.save().expect("saves");
+        let path = dir.join(CACHE_FILE);
+        let old = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace(CACHE_SCHEMA, "fearless-flow-cache/1");
+        std::fs::write(&path, old).unwrap();
+
+        let mut loaded = FlowCache::load(&dir);
+        assert_eq!(
+            loaded.load_outcome(),
+            LoadOutcome::Recovered("schema mismatch")
+        );
+        let flow = analyze_checked_cached(&checked, &mut loaded).expect("analyzes");
+        assert_eq!(
+            loaded.stats(),
+            (0, 2),
+            "nothing replays from the old document"
+        );
+        assert_eq!(flow.to_json(), cold_flow.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn editing_a_function_invalidates_its_key_and_its_callers() {
         let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
         let mut cache = FlowCache::ephemeral();
@@ -296,7 +324,7 @@ mod tests {
             "missing checksum",
         );
         recovers(
-            "{\n  \"schema\": \"fearless-flow-cache/2\",\n  \"entries\": {}\n}",
+            "{\n  \"schema\": \"fearless-flow-cache/1\",\n  \"entries\": {}\n}",
             "schema mismatch",
         );
 

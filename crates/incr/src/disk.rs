@@ -5,7 +5,7 @@
 //! checksum, load with a [`LoadOutcome`], atomic save, advisory lock —
 //! and the table owns only its typed payload. Two tables exist:
 //!
-//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/1`,
+//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/2`,
 //!   the [`DiskCache`] behind `fearlessc check --cache <dir>`). Entries
 //!   are content-addressed by [`Fingerprint`] hex and store the
 //!   per-function check *summary* — verdict, derivation shape, and the
@@ -33,10 +33,12 @@
 //!   leaves either the old document or the new one, never a torn hybrid
 //!   (a stray temp file is inert).
 //! * **Content checksum**: the document embeds an FNV-1a 64 checksum of
-//!   the canonical rendering of the table's payload fields. A
-//!   [`Store::load`] is one linear [`parse_json`] pass plus this checksum
-//!   over the re-rendered payload; the parsed fields are then moved, not
-//!   cloned, into the table. Any mismatch (or malformed JSON, or a
+//!   the table's payload fields as rendered. A save renders the payload
+//!   once, checksums those bytes and writes them after the schema and
+//!   checksum members. A [`Store::load`] is one linear [`parse_json`]
+//!   pass plus this checksum over the payload bytes as read, so every
+//!   byte of the document is covered; the parsed fields are then moved,
+//!   not cloned, into the table. Any mismatch (or malformed JSON, or a
 //!   schema-tag mismatch) discards the file and records a
 //!   [`LoadOutcome::Recovered`] that drivers surface as the
 //!   `cache_recoveries` stat and a `cache_recovery` trace event.
@@ -304,24 +306,38 @@ pub enum LoadOutcome {
 /// FNV-1a 64 over `text`, in fixed-width lowercase hex — the content
 /// checksum embedded in (and verified against) every cache document.
 pub fn checksum_hex(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
+    format!("{:016x}", fnv1a64(FNV64_OFFSET, text.as_bytes()))
+}
+
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64 hash from state `h` over `bytes`.
+fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    format!("{h:016x}")
+    h
+}
+
+/// A document up to its payload: the opening brace, the schema and
+/// checksum members, and the comma before the first payload field. The
+/// payload rendering minus its own opening brace follows, so a document
+/// is byte-for-byte the rendering of all four fields as one object.
+fn document_head(schema: &str, checksum: &str) -> String {
+    format!("{{\n  \"schema\": \"{schema}\",\n  \"checksum\": \"{checksum}\",")
 }
 
 /// A typed table persisted as one checksummed document by [`Store`].
 ///
 /// The document is `{schema, checksum, <FIELDS...>}`; the checksum
-/// covers the canonical rendering of exactly the payload fields.
+/// covers the rendering of exactly the payload fields.
 pub trait Table: Default {
     /// File name inside the cache directory.
     const FILE: &'static str;
     /// Schema tag of the document.
     const SCHEMA: &'static str;
-    /// Payload field names, in document order.
+    /// Payload field names, in document order (at least one).
     const FIELDS: &'static [&'static str];
 
     /// Renders the payload: one value per name in [`Table::FIELDS`].
@@ -401,14 +417,15 @@ impl<T: Table> Store<T> {
     }
 
     /// Renders the document (deterministic bytes, embedded content
-    /// checksum over the canonical payload rendering).
+    /// checksum over the payload rendering). The payload is rendered
+    /// once: its bytes are checksummed and then written after the head.
     pub fn to_json(&self) -> String {
         let values = self.table.to_fields();
-        let mut fields: Vec<(&str, &Json)> = T::FIELDS.iter().copied().zip(&values).collect();
-        let schema = Json::str(T::SCHEMA);
-        let checksum = Json::str(checksum_hex(&Json::render_fields(&fields)));
-        fields.splice(0..0, [("schema", &schema), ("checksum", &checksum)]);
-        Json::render_fields(&fields)
+        let fields: Vec<(&str, &Json)> = T::FIELDS.iter().copied().zip(&values).collect();
+        let payload = Json::render_fields(&fields);
+        let mut doc = document_head(T::SCHEMA, &checksum_hex(&payload));
+        doc.push_str(&payload[1..]);
+        doc
     }
 
     /// Writes the document back to its directory (creating it if
@@ -470,6 +487,12 @@ fn read_table<T: Table>(dir: &Path) -> Result<Option<T>, &'static str> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(_) => return Err("unreadable"),
     };
+    decode_document(bytes).map(Some)
+}
+
+/// Verifies and decodes a document's bytes; `Err(reason)` when they are
+/// unusable.
+fn decode_document<T: Table>(bytes: Vec<u8>) -> Result<T, &'static str> {
     let text = String::from_utf8(bytes).map_err(|_| "invalid utf-8")?;
     let Some(mut root @ Json::Obj(_)) = parse_json(&text) else {
         return Err("malformed json");
@@ -480,18 +503,22 @@ fn read_table<T: Table>(dir: &Path) -> Result<Option<T>, &'static str> {
     let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
         return Err("missing checksum");
     };
+    // Checksum the payload bytes as read: everything after the head,
+    // behind the opening brace the payload was rendered with. Any
+    // corrupted byte (a bit flip, a truncation that still parses, a torn
+    // write, even in whitespace or in the head) fails the comparison.
+    let payload = text
+        .strip_prefix(&document_head(T::SCHEMA, &stored_checksum))
+        .ok_or("checksum mismatch")?;
+    let checksum = fnv1a64(fnv1a64(FNV64_OFFSET, b"{"), payload.as_bytes());
+    if format!("{checksum:016x}") != stored_checksum {
+        return Err("checksum mismatch");
+    }
     let values: Vec<Json> = T::FIELDS
         .iter()
         .map(|k| root.take(k).unwrap_or(Json::Obj(Vec::new())))
         .collect();
-    // Re-render the parsed payload canonically; any content-altering
-    // corruption (bit flip, truncation that still parses, torn write)
-    // changes these bytes and fails the comparison.
-    let fields: Vec<(&str, &Json)> = T::FIELDS.iter().copied().zip(&values).collect();
-    if checksum_hex(&Json::render_fields(&fields)) != stored_checksum {
-        return Err("checksum mismatch");
-    }
-    Ok(Some(T::from_fields(values)))
+    Ok(T::from_fields(values))
 }
 
 /// The check table: content-addressed outcomes plus the name →
@@ -508,7 +535,7 @@ pub struct CheckTable {
 
 impl Table for CheckTable {
     const FILE: &'static str = "check-cache.json";
-    const SCHEMA: &'static str = "fearless-incr-cache/1";
+    const SCHEMA: &'static str = "fearless-incr-cache/2";
     const FIELDS: &'static [&'static str] = &["entries", "names"];
 
     fn to_fields(&self) -> Vec<Json> {
@@ -685,6 +712,22 @@ mod tests {
         // Re-render: byte identity proves the parser inverted the
         // renderer exactly.
         assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn every_flipped_bit_is_a_recovery() {
+        let doc = sample().to_json().into_bytes();
+        assert!(decode_document::<CheckTable>(doc.clone()).is_ok());
+        for at in 0..doc.len() {
+            for bit in 0..8 {
+                let mut damaged = doc.clone();
+                damaged[at] ^= 1 << bit;
+                assert!(
+                    decode_document::<CheckTable>(damaged).is_err(),
+                    "flipping bit {bit} of byte {at} still loads"
+                );
+            }
+        }
     }
 
     // Every cache document loads through `parse_json`: the tests below
@@ -910,7 +953,7 @@ mod tests {
         let path = dir.join(CACHE_FILE);
         let text = std::fs::read_to_string(&path)
             .unwrap()
-            .replace(CheckTable::SCHEMA, "fearless-incr-cache/2");
+            .replace(CheckTable::SCHEMA, "fearless-incr-cache/1");
         std::fs::write(&path, text).unwrap();
         assert_recovers(&dir, "schema mismatch");
     }

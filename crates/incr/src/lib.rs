@@ -21,11 +21,12 @@
 //!   for the pool, and models the plan's parallel speedup.
 //! * [`pool`] — a small hand-rolled self-scheduling thread pool (no
 //!   external deps) that drives independent `check_fn` queries.
-//! * [`check_units`] — the driver: fingerprint serially, answer hits
-//!   from the cache, fan misses out over the pool, then re-assemble
-//!   results and trace spans in definition order so output bytes never
-//!   depend on the schedule or on cache warmth (only the dedicated
-//!   `cache` summary span reflects warmth).
+//! * [`check_units`] — the driver: fingerprint serially (only when a
+//!   cache will read the fingerprints), answer hits from the cache, fan
+//!   misses out over the pool, then re-assemble results and trace spans
+//!   in definition order so output bytes never depend on the schedule or
+//!   on cache warmth (only the dedicated `cache` summary span reflects
+//!   warmth).
 
 #![warn(missing_docs)]
 
@@ -119,8 +120,9 @@ impl CacheStats {
 pub struct FnSummary {
     /// Function name.
     pub name: String,
-    /// Content fingerprint the outcome is keyed under.
-    pub fingerprint: Fingerprint,
+    /// Content fingerprint the outcome is keyed under; `None` when the
+    /// run had no cache, which is the only reader of fingerprints.
+    pub fingerprint: Option<Fingerprint>,
     /// Whether the outcome came from the cache.
     pub cache_hit: bool,
     /// The (replayable) outcome.
@@ -232,14 +234,16 @@ pub fn check_units(
     // bare run can skip collecting it entirely.
     let want_counters = tracer.is_enabled() || cache.is_some();
 
-    // Phase 1 (serial): validate environments and fingerprint every
-    // function; split into cache hits and misses.
+    // Phase 1 (serial): validate environments and, when a cache is
+    // given, fingerprint every function and split into hits and misses.
+    // Without a cache nothing reads a fingerprint, so none is computed
+    // and every function is a miss.
     struct PendingUnit<'p> {
         label: &'p str,
         globals: Option<Globals>,
         env_error: Option<TypeError>,
         // (name, fingerprint, cached outcome or miss marker)
-        fns: Vec<(String, Fingerprint, Option<CachedOutcome>)>,
+        fns: Vec<(String, Option<Fingerprint>, Option<CachedOutcome>)>,
     }
     let mut pending: Vec<PendingUnit<'_>> = Vec::with_capacity(units.len());
     for (label, program) in units {
@@ -253,11 +257,10 @@ pub fn check_units(
             Ok(globals) => {
                 let mut fns = Vec::with_capacity(program.funcs.len());
                 for f in &program.funcs {
-                    let fp = fearless_core::fn_fingerprint(&globals, options, f);
-                    let qualified = format!("{label}:{}", f.name);
-                    let cached = match cache.as_deref_mut() {
+                    let (fp, cached) = match cache.as_deref_mut() {
                         Some(c) => {
-                            if c.note_name(&qualified, fp) {
+                            let fp = fearless_core::fn_fingerprint(&globals, options, f);
+                            if c.note_name(&format!("{label}:{}", f.name), fp) {
                                 stats.invalidations += 1;
                             }
                             let cached = c.lookup(fp).cloned();
@@ -265,9 +268,9 @@ pub fn check_units(
                                 Some(_) => stats.hits += 1,
                                 None => stats.misses += 1,
                             }
-                            cached
+                            (Some(fp), cached)
                         }
-                        None => None,
+                        None => (None, None),
                     };
                     fns.push((f.name.to_string(), fp, cached));
                 }
@@ -327,7 +330,7 @@ pub fn check_units(
                 Some(outcome) => (outcome, true),
                 None => {
                     let outcome = fresh.next().expect("pool returned every job");
-                    if let Some(c) = cache.as_deref_mut() {
+                    if let (Some(c), Some(fp)) = (cache.as_deref_mut(), fp) {
                         c.insert(fp, outcome.clone());
                     }
                     (outcome, false)
@@ -506,6 +509,47 @@ mod tests {
         let healed = DiskCache::load(&dir);
         assert_eq!(healed.load_outcome(), LoadOutcome::Warm);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_schema_1_document_is_one_counted_cold_recovery() {
+        // Fingerprints of the `/1` schema hashed the pretty-printed
+        // definition; a document of that schema must never be trusted.
+        let opts = CheckerOptions::default();
+        let dir =
+            std::env::temp_dir().join(format!("fearless-incr-schema-1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = DiskCache::load(&dir);
+        let cold = check_units(&units(), &opts, 1, Some(&mut cache), &mut Tracer::off());
+        cache.save().unwrap();
+        let path = dir.join(disk::CACHE_FILE);
+        let old = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace(CheckTable::SCHEMA, "fearless-incr-cache/1");
+        std::fs::write(&path, old).unwrap();
+
+        let mut loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.recovered_reason(), Some("schema mismatch"));
+        let run = check_units(&units(), &opts, 1, Some(&mut loaded), &mut Tracer::off());
+        assert_eq!(run.stats.recoveries, 1);
+        assert_eq!((run.stats.hits, run.stats.misses), (0, 2));
+        assert_eq!(run.units, cold.units);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn no_cache_no_fingerprints() {
+        let run = check_units(
+            &units(),
+            &CheckerOptions::default(),
+            1,
+            None,
+            &mut Tracer::off(),
+        );
+        assert!(run.units[0]
+            .functions
+            .iter()
+            .all(|f| f.fingerprint.is_none()));
     }
 
     #[test]

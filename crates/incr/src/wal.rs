@@ -13,7 +13,7 @@
 //! Line-oriented, append-only, one JSON document per line:
 //!
 //! ```text
-//! {"schema": "fearless-incr-wal/1"}
+//! {"schema": "fearless-incr-wal/2"}
 //! {"crc": "<fnv1a64 hex of rec>", "rec": {"kind": "entry", "fp": "…", "outcome": {…}}}
 //! {"crc": "…", "rec": {"kind": "name", "name": "…", "fp": "…"}}
 //! ```
@@ -46,7 +46,7 @@ use crate::disk::{checksum_hex, CachedOutcome};
 pub const WAL_FILE: &str = "check-cache.wal";
 
 /// Schema tag on the WAL header line.
-pub const SCHEMA: &str = "fearless-incr-wal/1";
+pub const SCHEMA: &str = "fearless-incr-wal/2";
 
 /// One logged cache mutation.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -18,13 +18,6 @@ pub fn program_to_string(p: &Program) -> String {
     out
 }
 
-/// Renders one struct definition.
-pub fn struct_to_string(s: &StructDef) -> String {
-    let mut out = String::new();
-    struct_to_string_into(s, &mut out);
-    out
-}
-
 fn struct_to_string_into(s: &StructDef, out: &mut String) {
     let _ = writeln!(out, "struct {} {{", s.name);
     for f in &s.fields {
@@ -32,13 +25,6 @@ fn struct_to_string_into(s: &StructDef, out: &mut String) {
         let _ = writeln!(out, "  {iso}{} : {};", f.name, f.ty);
     }
     out.push_str("}\n");
-}
-
-/// Renders one function definition.
-pub fn fn_to_string(f: &FnDef) -> String {
-    let mut out = String::new();
-    fn_to_string_into(f, &mut out);
-    out
 }
 
 fn fn_to_string_into(f: &FnDef, out: &mut String) {
@@ -278,7 +264,7 @@ mod tests {
     #[test]
     fn prints_struct() {
         let p = parse_program("struct sll { iso hd : sll_node? }").unwrap();
-        let text = struct_to_string(&p.structs[0]);
+        let text = program_to_string(&p);
         assert!(text.contains("iso hd : sll_node?;"));
     }
 
@@ -308,7 +294,7 @@ mod tests {
     fn prints_annotations() {
         let src = "def concat(l1, l2 : sll_node) : unit consumes l2 { l1.next = some(l2); }";
         let p = parse_program(src).unwrap();
-        let text = fn_to_string(&p.funcs[0]);
+        let text = program_to_string(&p);
         assert!(text.contains("consumes l2"));
     }
 }

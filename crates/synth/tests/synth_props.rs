@@ -2,12 +2,13 @@
 //! every seed yields a program that (1) checks cleanly under the
 //! tempered checker, (2) round-trips through the pretty-printer and
 //! parser, and (3) fingerprints identically across two independent
-//! same-seed generations.
+//! same-seed generations and across a pretty-printer round trip, one
+//! distinct fingerprint per function.
 //!
 //! Sizes are kept small (the checker runs on every case); the scale
 //! story lives in `validate_seeds.rs` and bench E13.
 
-use fearless_core::{check_program, fn_fingerprint, CheckerOptions, Globals};
+use fearless_core::{check_program, fn_fingerprint, program_fingerprints, CheckerOptions, Globals};
 use fearless_synth::{synthesize, SynthOptions};
 use proptest::prelude::*;
 
@@ -82,5 +83,25 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&fps[0], &fps[1], "fingerprints drifted at seed {}", seed);
+    }
+
+    #[test]
+    fn fingerprints_are_distinct_and_survive_the_pretty_printer(
+        seed in 0u64..u64::MAX,
+        functions in 4usize..40,
+    ) {
+        let options = CheckerOptions::default();
+        let parsed = fearless_syntax::parse_program(&synthesize(&opts(seed, functions, 3)))
+            .unwrap_or_else(|e| panic!("seed {seed}: parse error: {e}"));
+        let reparsed =
+            fearless_syntax::parse_program(&fearless_syntax::pretty::program_to_string(&parsed))
+                .unwrap_or_else(|e| panic!("seed {seed}: reparse error: {e}"));
+        let fps = program_fingerprints(&parsed, &options)
+            .unwrap_or_else(|e| panic!("seed {seed}: env error: {e}"));
+        let refps = program_fingerprints(&reparsed, &options)
+            .unwrap_or_else(|e| panic!("seed {seed}: env error: {e}"));
+        prop_assert_eq!(&fps, &refps, "round trip moved a fingerprint at seed {}", seed);
+        let distinct: std::collections::BTreeSet<_> = fps.iter().map(|(_, fp)| *fp).collect();
+        prop_assert_eq!(distinct.len(), fps.len(), "two functions share a fingerprint at seed {}", seed);
     }
 }

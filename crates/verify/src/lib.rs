@@ -89,14 +89,22 @@ pub fn verify_program(checked: &CheckedProgram) -> Result<VerifyReport, VerifyEr
     let globals = fearless_core::globals_of(checked)
         .map_err(|e| VerifyError::new("<globals>", None, e.to_string()))?;
     let mut report = VerifyReport::default();
-    for derivation in &checked.derivations {
-        let def = checked.program.func(&derivation.func).ok_or_else(|| {
-            VerifyError::new(
-                derivation.func.as_str(),
-                None,
-                "derivation for unknown function",
-            )
-        })?;
+    for (i, derivation) in checked.derivations.iter().enumerate() {
+        // Derivations come in definition order, so the definition at the
+        // same index is the one; a mismatch falls back to the lookup.
+        let def = checked
+            .program
+            .funcs
+            .get(i)
+            .filter(|f| f.name == derivation.func)
+            .or_else(|| checked.program.func(&derivation.func))
+            .ok_or_else(|| {
+                VerifyError::new(
+                    derivation.func.as_str(),
+                    None,
+                    "derivation for unknown function",
+                )
+            })?;
         let sub = verify_derivation_in_mode(&globals, def, derivation, checked.options.mode)?;
         report.functions += 1;
         report.rule_nodes += sub.rule_nodes;

@@ -32,6 +32,23 @@ fn baseline_verifies() {
 }
 
 #[test]
+fn derivations_meet_their_own_definitions() {
+    // Out of definition order, each derivation still replays against its
+    // own definition (the index pairing falls back to the name), and a
+    // derivation naming no definition is rejected.
+    let base = checked();
+    let mut reordered = base.clone();
+    reordered.derivations.reverse();
+    assert_eq!(
+        verify_program(&reordered).unwrap_or_else(|e| panic!("{e}")),
+        verify_program(&base).unwrap_or_else(|e| panic!("{e}"))
+    );
+    let mut unknown = base;
+    unknown.derivations[0].func = "nosuch".into();
+    assert!(verify_program(&unknown).is_err());
+}
+
+#[test]
 fn dropping_any_single_vir_node_fails() {
     // Removing any TS1 step from any chain must break replay (each step is
     // load-bearing).
