@@ -2,9 +2,8 @@
 //!
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md's per-experiment index E1–E8). Each
-//! experiment has a pure data function here, a Criterion bench measuring
-//! its timing, and an entry in the `experiments` binary that prints the
-//! table the paper reports.
+//! experiment has a pure data function here and an entry in the
+//! `experiments` binary that prints the table the paper reports.
 
 #![warn(missing_docs)]
 
@@ -401,122 +400,6 @@ pub fn figure4_outcome() -> Figure4Outcome {
     }
 }
 
-/// E9: deterministic instrumentation snapshot of the accepted corpus —
-/// the full checker trace (`fearless-trace/corpus/1`, counters only,
-/// wall-clock never serialized) as one JSON document. The `experiments`
-/// binary writes it to `BENCH_trace.json`; two runs are byte-identical.
-pub fn trace_snapshot() -> String {
-    use fearless_trace::{Json, MemorySink, Tracer};
-    let mut entries = Vec::new();
-    for entry in fearless_corpus::accepted_entries() {
-        let mut sink = MemorySink::new();
-        fearless_core::check_source_traced(
-            &entry.source,
-            &CheckerOptions::default(),
-            &mut Tracer::new(&mut sink),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e:?}", entry.name));
-        entries.push(Json::obj([
-            ("name", Json::str(entry.name)),
-            ("trace", sink.to_json_value()),
-        ]));
-    }
-    Json::obj([
-        ("schema", Json::str("fearless-trace/corpus/1")),
-        ("entries", Json::Arr(entries)),
-    ])
-    .render()
-}
-
-/// E10 measurements: the incremental + parallel driver over the whole
-/// corpus — cold (cache filling), warm (all hits), and parallel
-/// (self-scheduling pool, no cache) wall times plus the deterministic
-/// cache counters.
-#[derive(Debug, Clone)]
-pub struct IncrSnapshot {
-    /// Cold run with an empty cache (every function derives), micros.
-    pub cold_micros: u128,
-    /// Warm rerun against the filled cache (every function replays), micros.
-    pub warm_micros: u128,
-    /// Cacheless run on `jobs` worker threads, micros.
-    pub parallel_micros: u128,
-    /// Worker threads used for the parallel run.
-    pub jobs: usize,
-    /// Corpus units checked.
-    pub units: u64,
-    /// Per-function queries that derived on the cold run.
-    pub misses_cold: u64,
-    /// Per-function queries answered from the cache on the warm run.
-    pub hits_warm: u64,
-}
-
-/// E10: runs the `fearless-incr` driver over every corpus entry three
-/// ways (cold-cached, warm-cached, parallel-uncached). The timings are
-/// wall-clock (nondeterministic); the counters are exact.
-pub fn incr_snapshot(jobs: usize) -> IncrSnapshot {
-    use fearless_incr::{check_units, DiskCache};
-    use fearless_trace::Tracer;
-    use std::time::Instant;
-
-    let units: Vec<(String, fearless_syntax::Program)> = fearless_corpus::all_entries()
-        .iter()
-        .map(|e| {
-            (
-                e.name.to_string(),
-                fearless_syntax::parse_program(&e.source)
-                    .unwrap_or_else(|err| panic!("{}: {err:?}", e.name)),
-            )
-        })
-        .collect();
-    let opts = CheckerOptions::default();
-
-    let mut cache = DiskCache::ephemeral();
-    let t = Instant::now();
-    let cold = check_units(&units, &opts, 1, Some(&mut cache), &mut Tracer::off());
-    let cold_micros = t.elapsed().as_micros();
-
-    let t = Instant::now();
-    let warm = check_units(&units, &opts, 1, Some(&mut cache), &mut Tracer::off());
-    let warm_micros = t.elapsed().as_micros();
-
-    let t = Instant::now();
-    check_units(&units, &opts, jobs, None, &mut Tracer::off());
-    let parallel_micros = t.elapsed().as_micros();
-
-    IncrSnapshot {
-        cold_micros,
-        warm_micros,
-        parallel_micros,
-        jobs,
-        units: units.len() as u64,
-        misses_cold: cold.stats.misses,
-        hits_warm: warm.stats.hits,
-    }
-}
-
-/// Renders an [`IncrSnapshot`] as the `fearless-incr-bench/1` JSON
-/// document the `experiments` binary writes to `BENCH_incr.json`.
-pub fn render_incr_snapshot(s: &IncrSnapshot) -> String {
-    use fearless_trace::Json;
-    Json::obj([
-        ("schema", Json::str("fearless-incr-bench/1")),
-        ("units", Json::U64(s.units)),
-        ("jobs", Json::U64(s.jobs as u64)),
-        ("misses_cold", Json::U64(s.misses_cold)),
-        ("hits_warm", Json::U64(s.hits_warm)),
-        // Wall-clock fields carry the workspace-wide `_nondet` suffix:
-        // `fearlessc bench-diff` reports them without gating, and
-        // `fearlessc strip-nondet` removes them for CI byte-diffs.
-        ("cold_micros_nondet", Json::U64(s.cold_micros as u64)),
-        ("warm_micros_nondet", Json::U64(s.warm_micros as u64)),
-        (
-            "parallel_micros_nondet",
-            Json::U64(s.parallel_micros as u64),
-        ),
-    ])
-    .render()
-}
-
 /// E13 measurements: the synthesized-corpus scaling experiment — the
 /// `fearless-incr` driver over a ≥1000-function `fearless-synth`
 /// program, serial vs. parallel vs. cold/warm cached, with the batch
@@ -544,6 +427,12 @@ pub struct SynthSnapshot {
     /// runners may be single-core, where wall parallel speedup is
     /// unmeasurable by construction.
     pub model_speedup_x100: u64,
+    /// Cores this machine offers (`std::thread::available_parallelism`).
+    pub available_parallelism: usize,
+    /// The cost model re-run on `min(jobs, available_parallelism)`
+    /// workers (x100): the speedup the measured wall times can show
+    /// here at best. Printed only, never written to the BENCH document.
+    pub core_model_speedup_x100: u64,
     /// Whether the cold, warm, serial, and parallel
     /// journals were byte-identical (must stay true).
     pub journal_identical: bool,
@@ -601,14 +490,19 @@ pub fn synth_snapshot(jobs: usize, generated: usize) -> SynthSnapshot {
     // Cost each job with its measured derivation nodes and simulate the
     // parallel plan. Deterministic: schedule and node counts are both
     // pure functions of the program.
-    let model = sched::cost_model(
-        &parallel_run.schedule,
-        jobs,
-        &mut |ui, fi| match &parallel_run.units[ui].functions[fi].outcome {
-            fearless_incr::CachedOutcome::Ok { nodes, .. } => *nodes,
-            fearless_incr::CachedOutcome::Err { .. } => 1,
-        },
-    );
+    let model_on = |workers: usize| {
+        sched::cost_model(
+            &parallel_run.schedule,
+            workers,
+            &mut |ui, fi| match &parallel_run.units[ui].functions[fi].outcome {
+                fearless_incr::CachedOutcome::Ok { nodes, .. } => *nodes,
+                fearless_incr::CachedOutcome::Err { .. } => 1,
+            },
+        )
+    };
+    let model = model_on(jobs);
+    let available_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let core_model = model_on(jobs.min(available_parallelism));
 
     SynthSnapshot {
         seed: opts_synth.seed,
@@ -619,6 +513,8 @@ pub fn synth_snapshot(jobs: usize, generated: usize) -> SynthSnapshot {
         model_total_work: model.total_work,
         model_makespan: model.makespan,
         model_speedup_x100: model.speedup_x100,
+        available_parallelism,
+        core_model_speedup_x100: core_model.speedup_x100,
         journal_identical,
         journal_entries,
         serial_micros,
@@ -943,27 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn e9_trace_snapshot_is_deterministic() {
-        let a = trace_snapshot();
-        let b = trace_snapshot();
-        assert_eq!(a, b);
-        assert!(a.contains("\"fearless-trace/corpus/1\""));
-        assert!(!a.contains("nanos"), "wall-clock must never be serialized");
-    }
-
-    #[test]
-    fn e10_warm_run_hits_every_cold_miss() {
-        let s = incr_snapshot(4);
-        assert!(s.misses_cold > 0);
-        assert_eq!(
-            s.hits_warm, s.misses_cold,
-            "every cold derivation must replay warm"
-        );
-        let json = render_incr_snapshot(&s);
-        assert!(json.contains("\"fearless-incr-bench/1\""), "{json}");
-    }
-
-    #[test]
     fn e8_fig4_rejected_and_faults() {
         let o = figure4_outcome();
         assert!(o.fig4_rejected);
@@ -1007,7 +882,7 @@ mod tests {
     #[test]
     fn wall_clock_bench_keys_all_carry_the_nondet_tag() {
         for doc in [
-            render_incr_snapshot(&incr_snapshot(2)),
+            render_synth_snapshot(&synth_snapshot(2, 20)),
             render_chaos_snapshot(&chaos_snapshot(1)),
             obs_snapshot(),
         ] {

@@ -425,7 +425,6 @@ pub fn main_guarded(args: &[String]) -> (Result<String, String>, i32) {
 }
 
 #[cfg(test)]
-#[cfg(test)]
 mod tests {
     use super::*;
     use args::{Args, COMMANDS};
@@ -1160,13 +1159,26 @@ mod tests {
 
     #[test]
     fn check_metrics_json_is_deterministic() {
-        let cmd = check_of(Input::File(String::new()), 1, None, metrics());
-        let a = execute_on_source(&cmd, PROGRAM).unwrap();
-        let b = execute_on_source(&cmd, PROGRAM).unwrap();
-        assert_eq!(a, b, "metrics JSON must be byte-identical across runs");
-        assert!(a.contains("\"fearless-trace/1\""), "{a}");
-        assert!(a.contains("\"check.deriv_nodes\""), "{a}");
-        assert!(!a.contains("nanos"), "wall-clock must never leak: {a}");
+        let profile_corpus = Command::Profile(Profile {
+            input: Input::Corpus,
+            wall_time: false,
+            cache: None,
+            telemetry: metrics(),
+        });
+        for (cmd, src) in [
+            (
+                check_of(Input::File(String::new()), 1, None, metrics()),
+                PROGRAM,
+            ),
+            (profile_corpus, ""),
+        ] {
+            let a = execute_on_source(&cmd, src).unwrap();
+            let b = execute_on_source(&cmd, src).unwrap();
+            assert_eq!(a, b, "metrics JSON must be byte-identical across runs");
+            assert!(a.contains("\"fearless-trace/1\""), "{a}");
+            assert!(a.contains("\"check.deriv_nodes\""), "{a}");
+            assert!(!a.contains("nanos"), "wall-clock must never leak: {a}");
+        }
     }
 
     #[test]

@@ -404,10 +404,12 @@ fn run_probes(socket: &Path) -> Result<String, String> {
     )?;
     out.push_str("self-test: deadline 0 → deadline-exceeded (code 9); generous deadline → ok\n");
 
-    // Stale-while-revalidate + bounded retries: reset moves the memo
-    // generation into the stale pool; with the queue paused and full, a
-    // previously-served key comes back `stale: true` while a fresh key
-    // retries and finally sheds.
+    // Stale-while-revalidate + bounded retries: reset makes the memo
+    // generation the stale pool; with the queue paused and full, a key
+    // served since the last reset comes back `stale: true` while a
+    // fresh key retries and finally sheds.
+    let r = c.request("lint", SMOKE_PROGRAM)?;
+    expect("stale seed", r.code == codes::OK, &r)?;
     let r = c.request("reset", "")?;
     expect("reset 2", r.code == codes::OK, &r)?;
     let r = c.request("pause", "")?;

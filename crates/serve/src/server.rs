@@ -736,11 +736,10 @@ fn respond(shared: &Shared, req: &Request) -> Response {
             // histograms so two identically-seeded load runs observe
             // identical deterministic counters. The fingerprint cache
             // deliberately stays hot — it never changes response bytes.
-            // The outgoing memo generation moves to the stale pool: a
+            // The outgoing memo generation replaces the stale pool: a
             // later shed-bound request for one of these keys is served
             // `stale: true` instead of `overloaded`.
-            let outgoing = std::mem::take(&mut st.memo);
-            st.stale_memo.extend(outgoing);
+            st.stale_memo = std::mem::take(&mut st.memo);
             st.crashes.clear();
             st.counters = Counters::default();
             st.hists = HistogramSet::new();

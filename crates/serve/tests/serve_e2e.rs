@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use fearless_incr::disk::{DiskCache, LoadOutcome};
 use fearless_serve::bench::{run_bench, BenchOptions};
-use fearless_serve::client::{self_test, Client, SMOKE_PROGRAM};
+use fearless_serve::client::{self_test, stat_counter, Client, SMOKE_PROGRAM};
 use fearless_serve::protocol::codes;
 use fearless_serve::server::{ServeOptions, Server};
 
@@ -165,6 +165,58 @@ fn wal_replay_recovers_a_crashed_daemon_byte_identically() {
     let r = c.request("shutdown", "").expect("shutdown 2");
     assert_eq!(r.code, codes::OK);
     spawned.shutdown_and_join().expect("join 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_pool_holds_only_the_previous_reset_epoch() {
+    let dir = scratch("stale-epoch");
+    let socket = dir.join("serve.sock");
+    let mut opts = ServeOptions::new(&socket);
+    opts.queue_capacity = 1;
+    let spawned = Server::spawn(opts).expect("spawn");
+    let mut c = Client::connect(&socket).expect("connect");
+    let old = "def two_epochs_ago(x: int): int { x + 1 }\n";
+    let last = "def last_epoch(x: int): int { x + 2 }\n";
+    for body in [old, last] {
+        let r = c.request("lint", body).expect("lint");
+        assert_eq!(r.code, codes::OK, "{}", r.output);
+        let r = c.request("reset", "").expect("reset");
+        assert_eq!(r.code, codes::OK, "{}", r.output);
+    }
+
+    // Pause and fill the one-slot queue so every new key is shed-bound.
+    let r = c.request("pause", "").expect("pause");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    let parked = {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            Client::connect(&socket)
+                .expect("connect parked")
+                .request("check", "def fill(x: int): int { x }\n")
+                .expect("parked check")
+        })
+    };
+    while stat_counter(
+        &c.request("stats", "").expect("stats").output,
+        "work_requests",
+    ) < 1
+    {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    let r = c.request_stale_ok("lint", old).expect("two epochs ago");
+    assert_eq!(r.code, codes::OVERLOADED, "{}", r.output);
+    let r = c.request_stale_ok("lint", last).expect("last epoch");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    assert!(r.stale, "the last epoch's answer must come back stale");
+
+    let r = c.request("resume", "").expect("resume");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    assert_eq!(parked.join().expect("parked client").code, codes::OK);
+    let r = c.request("shutdown", "").expect("shutdown");
+    assert_eq!(r.code, codes::OK);
+    spawned.shutdown_and_join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
