@@ -26,19 +26,21 @@
 //! annotated one first, and stops at the first failure. Verdicts are
 //! memoized by fingerprint across probes.
 //!
-//! The probe's environment is patched, not rebuilt, where it can be. No
-//! other signature and no struct reads a function's annotations, so an
-//! annotation probe re-elaborates only `f`'s signature
-//! ([`Globals::patch_sig`]) and puts the old one back afterwards. An `iso`
-//! flip rebuilds the whole environment: struct validation reads `iso`, and
-//! so does every signature whose `after` relations name a field.
+//! The probe's environment is patched, not rebuilt, and no probe copies
+//! the program. No other signature and no struct reads a function's
+//! annotations, so an annotation probe edits one copy of `f`, re-elaborates
+//! only `f`'s signature ([`Globals::patch_sig`]) and puts the old one back
+//! afterwards. An `iso` flip edits one copy of the struct and patches it
+//! in ([`Globals::patch_struct`]): struct validation re-reads that struct
+//! alone, and only the signatures whose `after` relations name one of its
+//! fields are re-elaborated.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use fearless_core::check::check_fn;
 use fearless_core::{fn_deps, fn_fingerprint, CheckedProgram, Fingerprint, Globals};
-use fearless_syntax::{Program, Severity, Span, Symbol};
+use fearless_syntax::{FnAnnotations, FnDef, Program, Severity, Span, Symbol};
 
 use crate::{AnalysisReport, Lint, LintCode};
 
@@ -59,29 +61,25 @@ enum Deletion {
     Iso { strukt: usize, field: usize },
 }
 
+impl Ann {
+    /// Deletes entry `at` of this annotation list of `a`.
+    fn delete(self, a: &mut FnAnnotations, at: usize) {
+        match self {
+            Ann::Pinned => drop(a.pinned.remove(at)),
+            Ann::Before => drop(a.before.remove(at)),
+            Ann::Consumes => drop(a.consumes.remove(at)),
+        }
+    }
+}
+
 impl Deletion {
-    /// Runs `probe` over `program` with the annotation deleted, then puts
-    /// it back.
-    fn probe<R>(self, program: &mut Program, probe: impl FnOnce(&Program) -> R) -> R {
+    /// Deletes the annotation from `program`.
+    fn apply(self, program: &mut Program) {
         match self {
             Deletion::Annotation { func, ann, at } => {
-                let a = &mut program.funcs[func].annotations;
-                let saved = a.clone();
-                match ann {
-                    Ann::Pinned => drop(a.pinned.remove(at)),
-                    Ann::Before => drop(a.before.remove(at)),
-                    Ann::Consumes => drop(a.consumes.remove(at)),
-                }
-                let verdict = probe(program);
-                program.funcs[func].annotations = saved;
-                verdict
+                ann.delete(&mut program.funcs[func].annotations, at);
             }
-            Deletion::Iso { strukt, field } => {
-                program.structs[strukt].fields[field].iso = false;
-                let verdict = probe(program);
-                program.structs[strukt].fields[field].iso = true;
-                verdict
-            }
+            Deletion::Iso { strukt, field } => program.structs[strukt].fields[field].iso = false,
         }
     }
 }
@@ -200,54 +198,62 @@ impl Dependents {
 }
 
 pub(crate) fn run(checked: &CheckedProgram, globals: &Globals, report: &mut AnalysisReport) {
+    let program = &checked.program;
     let options = &checked.options;
-    let dependents = Dependents::build(&checked.program, globals);
-    let mut program = checked.program.clone();
+    let dependents = Dependents::build(program, globals);
     let mut env = globals.clone();
     // Whether the function with a given fingerprint checks, as derived by
     // an earlier probe.
     let mut verdicts: HashMap<Fingerprint, bool> = HashMap::new();
     let stats = &mut report.stats;
-    for c in candidates(&checked.program) {
+    for c in candidates(program) {
         stats.recheck_experiments += 1;
-        let dirty = dependents.dirty(&checked.program, c.deletion);
-        let checks = c.deletion.probe(&mut program, |p| {
-            let mut derive = |globals: &Globals| {
-                dirty.iter().all(|&i| {
-                    let def = &p.funcs[i];
-                    stats.recheck_fingerprints += 1;
-                    match verdicts.entry(fn_fingerprint(globals, options, def)) {
-                        Entry::Occupied(v) => {
-                            stats.recheck_cache_hits += 1;
-                            *v.get()
-                        }
-                        Entry::Vacant(v) => {
-                            stats.recheck_cache_misses += 1;
-                            *v.insert(check_fn(globals, options, def).is_ok())
-                        }
+        let dirty = dependents.dirty(program, c.deletion);
+        // Whether every dirty function checks under `globals`, the edited
+        // copy standing in for the definition it replaces.
+        let mut derive = |globals: &Globals, edited: Option<(usize, &FnDef)>| {
+            dirty.iter().all(|&i| {
+                let def = match edited {
+                    Some((at, def)) if at == i => def,
+                    _ => &program.funcs[i],
+                };
+                stats.recheck_fingerprints += 1;
+                match verdicts.entry(fn_fingerprint(globals, options, def)) {
+                    Entry::Occupied(v) => {
+                        stats.recheck_cache_hits += 1;
+                        *v.get()
                     }
-                })
-            };
-            match c.deletion {
-                Deletion::Annotation { func, .. } => {
-                    let Ok(old) = env.patch_sig(&p.funcs[func]) else {
-                        return false;
-                    };
-                    let checks = derive(&env);
+                    Entry::Vacant(v) => {
+                        stats.recheck_cache_misses += 1;
+                        *v.insert(check_fn(globals, options, def).is_ok())
+                    }
+                }
+            })
+        };
+        let checks = match c.deletion {
+            Deletion::Annotation { func, ann, at } => {
+                let mut edited = program.funcs[func].clone();
+                ann.delete(&mut edited.annotations, at);
+                env.patch_sig(&edited).is_ok_and(|old| {
+                    let checks = derive(&env, Some((func, &edited)));
                     env.restore_sig(old);
                     checks
-                }
-                Deletion::Iso { .. } => {
-                    stats.recheck_env_builds += 1;
-                    Globals::build(p, options.mode).is_ok_and(|g| derive(&g))
-                }
+                })
             }
-        });
+            Deletion::Iso { strukt, field } => {
+                let mut edited = program.structs[strukt].clone();
+                edited.fields[field].iso = false;
+                env.patch_struct(&edited, &program.funcs, options.mode)
+                    .is_ok_and(|patch| {
+                        let checks = derive(&env, None);
+                        env.restore_struct(patch);
+                        checks
+                    })
+            }
+        };
         if checks {
             let func = match c.deletion {
-                Deletion::Annotation { func, .. } => {
-                    Some(checked.program.funcs[func].name.to_string())
-                }
+                Deletion::Annotation { func, .. } => Some(program.funcs[func].name.to_string()),
                 Deletion::Iso { .. } => None,
             };
             report.lints.push(Lint {
@@ -268,12 +274,12 @@ pub(crate) fn dirty_sets(
     globals: &Globals,
 ) -> Vec<(Program, Vec<usize>)> {
     let dependents = Dependents::build(&checked.program, globals);
-    let mut program = checked.program.clone();
     candidates(&checked.program)
         .into_iter()
         .map(|c| {
-            let dirty = dependents.dirty(&checked.program, c.deletion);
-            (c.deletion.probe(&mut program, Program::clone), dirty)
+            let mut program = checked.program.clone();
+            c.deletion.apply(&mut program);
+            (program, dependents.dirty(&checked.program, c.deletion))
         })
         .collect()
 }

@@ -150,8 +150,9 @@ pub struct AnalysisStats {
     pub recheck_cache_hits: u64,
     /// Dirty functions the probes re-derived.
     pub recheck_cache_misses: u64,
-    /// Whole-program environment rebuilds the probes ran: one per `iso`
-    /// flip. An annotation probe patches one signature instead.
+    /// Whole-program environment rebuilds the probes ran. None do: an
+    /// annotation probe patches one signature and an `iso` flip one
+    /// struct, so this stays 0, and CI fails if it ever moves.
     pub recheck_env_builds: u64,
 }
 

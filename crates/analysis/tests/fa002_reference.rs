@@ -3,11 +3,15 @@
 //! that deletes each annotation in a fresh clone and re-checks the whole
 //! program cold with `check_program`. The lint answers its probes from a
 //! fingerprint store; this pins that the store never changes a verdict.
-//! It also pins the patched environments annotation probes check under:
-//! each equals a cold `Globals::build` of the probed program.
+//! It also pins the patched environments probes check under: after an
+//! annotation probe's `patch_sig` or an `iso` flip's `patch_struct`, the
+//! environment equals a cold `Globals::build` of the probed program.
 
 use fearless_analyze::{analyze_program, LintCode};
-use fearless_core::{check_program, CheckedProgram, CheckerOptions, Globals};
+use fearless_core::{
+    check_program, fn_fingerprint, CheckedProgram, CheckerMode, CheckerOptions, Fingerprint,
+    Globals,
+};
 use fearless_syntax::{Program, Span, Symbol};
 
 /// A finding's identity: the function it names (none for struct fields)
@@ -261,4 +265,125 @@ fn a_patch_error_leaves_the_environment_unchanged() {
     edited.params[1].name = fearless_syntax::Symbol::new("c");
     assert!(env.patch_sig(&edited).is_err());
     assert!(env.sigs().eq(original.sigs()));
+}
+
+/// Every function's fingerprint under `globals`.
+fn fingerprints(globals: &Globals, checked: &CheckedProgram) -> Vec<Fingerprint> {
+    let funcs = &checked.program.funcs;
+    funcs
+        .iter()
+        .map(|f| fn_fingerprint(globals, &checked.options, f))
+        .collect()
+}
+
+/// Un-`iso`s every `iso` field of `checked` in turn through `patch_struct`
+/// on one environment whose fingerprint memos are already filled, and
+/// compares it with a cold `Globals::build` of the flipped program: the
+/// same error, or the same signatures, struct declaration and fingerprint
+/// for every function. After `restore_struct` every signature and
+/// fingerprint must equal the original. Returns the number of flips that
+/// patched, and the number that failed.
+fn assert_struct_patches_match_builds(label: &str, checked: &CheckedProgram) -> (usize, usize) {
+    let mode = checked.options.mode;
+    let mut env = Globals::build(&checked.program, mode).unwrap();
+    let original = fingerprints(&env, checked);
+    let (mut patched, mut failed) = (0, 0);
+    for (si, s) in checked.program.structs.iter().enumerate() {
+        for (fi, field) in s.fields.iter().enumerate().filter(|(_, f)| f.iso) {
+            let what = format!("`{label}`: un-iso `{}.{}`", s.name, field.name);
+            let mut flipped = checked.clone();
+            flipped.program.structs[si].fields[fi].iso = false;
+            let edited = &flipped.program.structs[si];
+            match (
+                env.patch_struct(edited, &checked.program.funcs, mode),
+                Globals::build(&flipped.program, mode),
+            ) {
+                (Ok(patch), Ok(cold)) => {
+                    assert!(env.sigs().eq(cold.sigs()), "{what}: signatures differ");
+                    assert_eq!(env.struct_def(&s.name), cold.struct_def(&s.name), "{what}");
+                    assert_eq!(
+                        fingerprints(&env, &flipped),
+                        fingerprints(&cold, &flipped),
+                        "{what}: fingerprints differ"
+                    );
+                    env.restore_struct(patch);
+                    patched += 1;
+                }
+                (Err(patch), Err(cold)) => {
+                    assert_eq!(patch, cold, "{what}: errors differ");
+                    failed += 1;
+                }
+                (patch, cold) => panic!(
+                    "{what}: patch ok {}, build ok {}",
+                    patch.is_ok(),
+                    cold.is_ok()
+                ),
+            }
+            assert_eq!(env.struct_def(&s.name), Some(s), "{what}: not undone");
+            assert_eq!(fingerprints(&env, checked), original, "{what}: not undone");
+        }
+    }
+    (patched, failed)
+}
+
+#[test]
+fn iso_flip_environments_match_cold_builds_on_the_corpus() {
+    let opts = CheckerOptions::default();
+    let (mut patched, mut failed) = (0, 0);
+    for entry in fearless_corpus::accepted_entries() {
+        let checked = entry.check(&opts).unwrap_or_else(|e| panic!("{e}"));
+        let (p, f) = assert_struct_patches_match_builds(entry.name, &checked);
+        patched += p;
+        failed += f;
+    }
+    assert!(patched > 0, "no corpus iso flip patched");
+    assert!(failed > 0, "no corpus iso flip broke its environment");
+}
+
+#[test]
+fn iso_flip_environments_match_cold_builds_on_seed_42() {
+    let src = fearless_synth::synthesize(&fearless_synth::SynthOptions {
+        seed: 42,
+        functions: 1000,
+        ..fearless_synth::SynthOptions::default()
+    });
+    let (patched, failed) = assert_struct_patches_match_builds("synth seed 42", &check(&src));
+    assert_eq!(patched + failed, 22);
+}
+
+#[test]
+fn an_iso_flip_that_breaks_tree_of_objects_validation_changes_nothing() {
+    // Under the tree-of-objects discipline every reference field must be
+    // `iso`, so each flip fails in struct validation, the same way a cold
+    // build of the flipped program fails.
+    let src = "struct data { value: int }
+         struct sll_node { iso payload : data; iso next : sll_node? }
+         struct sll { iso hd : sll_node? }
+         def peek(l : sll) : int {
+           let some(n) = l.hd in { n.payload.value } else { 0 }
+         }";
+    let opts = CheckerOptions::with_mode(CheckerMode::TreeOfObjects);
+    let checked = fearless_core::check_source(src, &opts).unwrap_or_else(|e| panic!("{e}"));
+    let sigs: Vec<_> = Globals::build(&checked.program, opts.mode)
+        .unwrap()
+        .sigs()
+        .cloned()
+        .collect();
+    assert_eq!(
+        assert_struct_patches_match_builds("tree of objects", &checked),
+        (0, 3)
+    );
+    let mut env = Globals::build(&checked.program, opts.mode).unwrap();
+    let mut edited = checked.program.structs[1].clone();
+    edited.fields[1].iso = false;
+    let err = env
+        .patch_struct(&edited, &checked.program.funcs, opts.mode)
+        .unwrap_err();
+    assert!(err.to_string().contains("tree-of-objects"), "{err}");
+    assert!(env.sigs().eq(sigs.iter()));
+    assert_eq!(
+        env.struct_def(&edited.name),
+        Some(&checked.program.structs[1])
+    );
+    assert_matches_reference("tree of objects", &checked);
 }

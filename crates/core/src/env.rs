@@ -89,6 +89,14 @@ struct StructEntry {
     closure_digest: OnceLock<u128>,
 }
 
+/// What [`Globals::patch_struct`] replaced: the struct declaration and the
+/// signatures it re-elaborated.
+#[derive(Debug)]
+pub struct StructPatch {
+    def: StructDef,
+    sigs: Vec<FnSig>,
+}
+
 /// An elaborated signature and its memoized digest.
 #[derive(Clone)]
 struct SigEntry {
@@ -191,6 +199,102 @@ impl Globals {
     /// Puts back a signature that [`Globals::patch_sig`] replaced.
     pub fn restore_sig(&mut self, sig: FnSig) {
         self.sigs.insert(sig.name.clone(), SigEntry::new(sig));
+    }
+
+    /// Replaces the declaration of struct `s.name` with `s`, an edited copy
+    /// that keeps the name, and returns what it replaced (for
+    /// [`Globals::restore_struct`]). `funcs` are the definitions this
+    /// environment was built from. The edited struct is re-validated, and
+    /// the signatures whose `after:` paths name a field of it are
+    /// re-elaborated in definition order; no other struct validation or
+    /// signature reads the struct's fields, so the result equals a
+    /// [`Globals::build`] of the edited program. The struct's digest memo
+    /// starts over, and so do the closure memos of every struct whose
+    /// closure contains it.
+    ///
+    /// # Errors
+    ///
+    /// Reports the error a build of the edited program would report first,
+    /// or a struct this environment does not define, and then changes
+    /// nothing.
+    pub fn patch_struct(
+        &mut self,
+        s: &StructDef,
+        funcs: &[FnDef],
+        mode: CheckerMode,
+    ) -> Result<StructPatch, TypeError> {
+        if !self.structs.contains_key(&s.name) {
+            return Err(TypeError::new(
+                format!("unknown struct `{}`", s.name),
+                s.span,
+            ));
+        }
+        self.validate_struct(s, mode)?;
+        let old = self.swap_struct(s.clone());
+        let mut elaborated = Vec::new();
+        for f in funcs {
+            let names_field = self.sig(&f.name).is_some_and(|sig| {
+                sig.output_classes.iter().flatten().any(|path| match path {
+                    RegionPath::Field(p, _) => {
+                        sig.param_index(p)
+                            .and_then(|i| sig.param_tys[i].struct_name())
+                            == Some(&s.name)
+                    }
+                    _ => false,
+                })
+            });
+            if !names_field {
+                continue;
+            }
+            match self.elaborate_sig(f) {
+                Ok(sig) => elaborated.push(sig),
+                Err(e) => {
+                    self.swap_struct(old);
+                    return Err(e);
+                }
+            }
+        }
+        let sigs = elaborated
+            .into_iter()
+            .map(|sig| {
+                let slot = self.sigs.get_mut(&sig.name).expect("signature exists");
+                std::mem::replace(slot, SigEntry::new(sig)).sig
+            })
+            .collect();
+        Ok(StructPatch { def: old, sigs })
+    }
+
+    /// Puts back what [`Globals::patch_struct`] replaced.
+    pub fn restore_struct(&mut self, patch: StructPatch) {
+        self.swap_struct(patch.def);
+        for sig in patch.sigs {
+            self.restore_sig(sig);
+        }
+    }
+
+    /// Installs `def` in place of the declaration of the same name and
+    /// returns the old one, resetting every memo that read it: the
+    /// struct's digest, and the closure and closure digest of every struct
+    /// whose closure contains it (only those closures pass through its
+    /// fields).
+    fn swap_struct(&mut self, def: StructDef) -> StructDef {
+        let readers: Vec<Symbol> = self
+            .structs
+            .keys()
+            .filter(|t| {
+                self.struct_closure(t)
+                    .is_some_and(|c| c.binary_search(&def.name).is_ok())
+            })
+            .cloned()
+            .collect();
+        for t in &readers {
+            let e = self.structs.get_mut(t).expect("struct exists");
+            e.closure.take();
+            e.closure_digest.take();
+        }
+        let e = self.structs.get_mut(&def.name).expect("struct exists");
+        e.digest.take();
+        std::mem::replace(&mut e.def, def)
     }
 
     /// Looks up a struct definition.

@@ -47,7 +47,7 @@ pub mod vir;
 pub use check::CheckCounters;
 pub use ctx::{Binding, HeapCtx, RegionId, TrackCtx, TypeState, VarCtx, VarTrack};
 pub use derivation::{CallInfo, DerivBuilder, DerivNode, Derivation, Rule, ValInfo};
-pub use env::{FnSig, Globals};
+pub use env::{FnSig, Globals, StructPatch};
 pub use error::TypeError;
 pub use fingerprint::{fn_deps, fn_fingerprint, program_fingerprints, Fingerprint, FnDeps};
 pub use flowfacts::{flow_facts, DisconnectFact, FieldAssignFact, FnFlowFacts, SendFact, TakeFact};
@@ -108,18 +108,30 @@ pub fn check_program_traced(
     options: &CheckerOptions,
     tracer: &mut fearless_trace::Tracer<'_>,
 ) -> Result<CheckedProgram, TypeError> {
-    let globals = Globals::build(program, options.mode)?;
-    let mut derivations = Vec::new();
-    for f in &program.funcs {
-        let d = check::check_fn_traced(&globals, options, f, tracer)
-            .map_err(|e| e.in_func(f.name.as_str()))?;
-        derivations.push(d);
-    }
+    let derivations = derive_all(program, options, tracer)?;
     Ok(CheckedProgram {
         program: program.clone(),
         derivations,
         options: *options,
     })
+}
+
+/// Validates the environment of `program` and derives every function in
+/// definition order.
+fn derive_all(
+    program: &Program,
+    options: &CheckerOptions,
+    tracer: &mut fearless_trace::Tracer<'_>,
+) -> Result<Vec<Derivation>, TypeError> {
+    let globals = Globals::build(program, options.mode)?;
+    program
+        .funcs
+        .iter()
+        .map(|f| {
+            check::check_fn_traced(&globals, options, f, tracer)
+                .map_err(|e| e.in_func(f.name.as_str()))
+        })
+        .collect()
 }
 
 /// Parses and type-checks source text.
@@ -140,7 +152,12 @@ pub fn check_source_traced(
 ) -> Result<CheckedProgram, TypeError> {
     let program =
         parse_program(src).map_err(|e| TypeError::new(e.message().to_string(), e.span()))?;
-    check_program_traced(&program, options, tracer)
+    let derivations = derive_all(&program, options, tracer)?;
+    Ok(CheckedProgram {
+        program,
+        derivations,
+        options: *options,
+    })
 }
 
 /// Rebuilds the validated global environment for a checked program (used

@@ -5,15 +5,33 @@
 //! paper's checker employs liveness analysis of variables (and thereby of
 //! the regions and tracked fields they inhabit) as the oracle that avoids
 //! backtracking search in the common case.
+//!
+//! Sets are bitsets over one sorted table of the body's variables, so a
+//! bit's order is the variables' string order. The live-after set of every
+//! expression is one row of a flat vector, at the offset of the
+//! expression's id from the body's lowest id; a [`LiveSet`] is built only
+//! when [`Liveness::live_after`] is asked for one.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use fearless_syntax::{Expr, ExprId, ExprKind, Symbol};
+
+use crate::state::LiveSet;
 
 /// Per-expression liveness facts for one function body.
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    live_after: HashMap<ExprId, BTreeSet<Symbol>>,
+    /// The body's variables and the always-live ones, sorted and distinct:
+    /// bit `i` of a set stands for `vars[i]`.
+    vars: Vec<Symbol>,
+    /// The lowest expression id in the body.
+    base: u32,
+    /// 64-bit words per set.
+    words: usize,
+    /// The live-after set of the expression with id `base + k` at
+    /// `rows[k * words..(k + 1) * words]`; ids the body lacks keep an
+    /// empty row.
+    rows: Vec<u64>,
 }
 
 impl Liveness {
@@ -21,56 +39,113 @@ impl Liveness {
     /// function's non-consumed parameters, which must be intact at exit)
     /// are treated as live at every point.
     pub fn analyze(body: &Expr, always_live: &BTreeSet<Symbol>) -> Liveness {
-        let mut lv = Liveness::default();
-        let after = always_live.clone();
-        lv.visit(body, &after);
+        let mut names: Vec<&Symbol> = always_live.iter().collect();
+        let (mut lo, mut hi) = (body.id.0, body.id.0);
+        body.walk(&mut |e| {
+            lo = lo.min(e.id.0);
+            hi = hi.max(e.id.0);
+            match &e.kind {
+                ExprKind::Var(x) | ExprKind::AssignVar(x, _) => names.push(x),
+                ExprKind::Let { var, .. } | ExprKind::LetSome { var, .. } => names.push(var),
+                ExprKind::IfDisconnected { a, b, .. } => names.extend([a, b]),
+                _ => {}
+            }
+        });
+        names.sort_unstable();
+        names.dedup();
+        let words = names.len().div_ceil(64);
+        let mut lv = Liveness {
+            vars: names.into_iter().cloned().collect(),
+            base: lo,
+            words,
+            rows: vec![0; (hi - lo) as usize * words + words],
+        };
+        let mut cur = vec![0; words];
+        for x in always_live {
+            lv.insert(&mut cur, x);
+        }
+        lv.visit(body, &mut cur);
         lv
     }
 
     /// The set of variables live immediately after expression `id`
     /// (empty if unknown).
-    pub fn live_after(&self, id: ExprId) -> BTreeSet<Symbol> {
-        self.live_after.get(&id).cloned().unwrap_or_default()
+    pub fn live_after(&self, id: ExprId) -> LiveSet {
+        let Some(row) = self.row(id) else {
+            return LiveSet::new();
+        };
+        let mut live = Vec::new();
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                live.push(self.vars[w * 64 + bits.trailing_zeros() as usize].clone());
+                bits &= bits - 1;
+            }
+        }
+        // The table is sorted, so this is already in set order.
+        live.into_iter().collect()
     }
 
     /// Whether `x` is live after expression `id`.
     pub fn is_live_after(&self, id: ExprId, x: &Symbol) -> bool {
-        self.live_after
-            .get(&id)
-            .map(|s| s.contains(x))
-            .unwrap_or(false)
+        match (self.row(id), self.vars.binary_search(x)) {
+            (Some(row), Ok(i)) => row[i / 64] >> (i % 64) & 1 == 1,
+            _ => false,
+        }
     }
 
-    /// Returns the live-before set of `e` given the live-after set,
-    /// recording `after` for `e.id`.
-    fn visit(&mut self, e: &Expr, after: &BTreeSet<Symbol>) -> BTreeSet<Symbol> {
-        self.live_after.insert(e.id, after.clone());
+    /// The live-after row of `id`, if `id` is in the body's id range.
+    fn row(&self, id: ExprId) -> Option<&[u64]> {
+        let k = id.0.checked_sub(self.base)? as usize;
+        self.rows.get(k * self.words..(k + 1) * self.words)
+    }
+
+    fn bit(&self, x: &Symbol) -> usize {
+        self.vars
+            .binary_search(x)
+            .expect("every variable of the body is in the table")
+    }
+
+    fn insert(&self, set: &mut [u64], x: &Symbol) {
+        let i = self.bit(x);
+        set[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&self, set: &mut [u64], x: &Symbol) {
+        let i = self.bit(x);
+        set[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn record(&mut self, id: ExprId, set: &[u64]) {
+        let k = (id.0 - self.base) as usize;
+        self.rows[k * self.words..(k + 1) * self.words].copy_from_slice(set);
+    }
+
+    /// Turns `live`, the live-after set of `e`, into its live-before set,
+    /// recording the live-after set for `e.id` (and for every node below).
+    fn visit(&mut self, e: &Expr, live: &mut [u64]) {
+        self.record(e.id, live);
         match &e.kind {
             ExprKind::Unit
             | ExprKind::Int(_)
             | ExprKind::Bool(_)
             | ExprKind::SelfRef
             | ExprKind::NoneOf
-            | ExprKind::Recv(_) => after.clone(),
-            ExprKind::Var(x) => {
-                let mut s = after.clone();
-                s.insert(x.clone());
-                s
-            }
-            ExprKind::Field(recv, _) | ExprKind::Take(recv, _) => self.visit(recv, after),
+            | ExprKind::Recv(_) => {}
+            ExprKind::Var(x) => self.insert(live, x),
+            ExprKind::Field(recv, _) | ExprKind::Take(recv, _) => self.visit(recv, live),
             ExprKind::AssignVar(x, rhs) => {
-                let mut killed = after.clone();
-                killed.remove(x);
-                self.visit(rhs, &killed)
+                self.remove(live, x);
+                self.visit(rhs, live);
             }
             ExprKind::AssignField(recv, _, rhs) => {
-                let mid = self.visit(rhs, after);
-                self.visit(recv, &mid)
+                self.visit(rhs, live);
+                self.visit(recv, live);
             }
             ExprKind::Let { var, init, body } => {
-                let mut body_before = self.visit(body, after);
-                body_before.remove(var);
-                self.visit(init, &body_before)
+                self.visit(body, live);
+                self.remove(live, var);
+                self.visit(init, live);
             }
             ExprKind::LetSome {
                 var,
@@ -78,28 +153,28 @@ impl Liveness {
                 then_branch,
                 else_branch,
             } => {
-                let mut then_before = self.visit(then_branch, after);
-                then_before.remove(var);
-                let else_before = self.visit(else_branch, after);
-                let mut merged = then_before;
-                merged.extend(else_before);
-                self.visit(init, &merged)
+                let mut else_live = live.to_vec();
+                self.visit(then_branch, live);
+                self.remove(live, var);
+                self.visit(else_branch, &mut else_live);
+                union(live, &else_live);
+                self.visit(init, live);
             }
             ExprKind::Seq(items) => {
-                let mut cur = after.clone();
                 for item in items.iter().rev() {
-                    cur = self.visit(item, &cur);
+                    self.visit(item, live);
                 }
-                cur
             }
             ExprKind::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let mut merged = self.visit(then_branch, after);
-                merged.extend(self.visit(else_branch, after));
-                self.visit(cond, &merged)
+                let mut else_live = live.to_vec();
+                self.visit(then_branch, live);
+                self.visit(else_branch, &mut else_live);
+                union(live, &else_live);
+                self.visit(cond, live);
             }
             ExprKind::IfDisconnected {
                 a,
@@ -107,46 +182,55 @@ impl Liveness {
                 then_branch,
                 else_branch,
             } => {
-                let mut merged = self.visit(then_branch, after);
-                merged.extend(self.visit(else_branch, after));
-                merged.insert(a.clone());
-                merged.insert(b.clone());
-                merged
+                let mut else_live = live.to_vec();
+                self.visit(then_branch, live);
+                self.visit(else_branch, &mut else_live);
+                union(live, &else_live);
+                self.insert(live, a);
+                self.insert(live, b);
             }
             ExprKind::While { cond, body } => {
                 // Fixpoint: live-before(loop) = live(cond, after ∪ live(body, X)).
-                let mut x: BTreeSet<Symbol> = BTreeSet::new();
+                let after = live.to_vec();
+                let mut x = vec![0; self.words];
+                let mut body_live = vec![0; self.words];
                 loop {
-                    let body_before = self.visit(body, &x);
-                    let mut cond_after = after.clone();
-                    cond_after.extend(body_before);
-                    let next = self.visit(cond, &cond_after);
-                    if next == x {
+                    body_live.copy_from_slice(&x);
+                    self.visit(body, &mut body_live);
+                    live.copy_from_slice(&after);
+                    union(live, &body_live);
+                    self.visit(cond, live);
+                    if *live == *x {
                         // Re-record the loop node's own after set (the
                         // visits above overwrote children only).
-                        self.live_after.insert(e.id, after.clone());
-                        return next;
+                        self.record(e.id, &after);
+                        return;
                     }
-                    x = next;
+                    x.copy_from_slice(live);
                 }
             }
             ExprKind::New(_, args) | ExprKind::Call(_, args) => {
-                let mut cur = after.clone();
                 for a in args.iter().rev() {
-                    cur = self.visit(a, &cur);
+                    self.visit(a, live);
                 }
-                cur
             }
             ExprKind::SomeOf(inner)
             | ExprKind::IsNone(inner)
             | ExprKind::IsSome(inner)
             | ExprKind::Send(inner)
-            | ExprKind::Unary(_, inner) => self.visit(inner, after),
+            | ExprKind::Unary(_, inner) => self.visit(inner, live),
             ExprKind::Binary(_, lhs, rhs) => {
-                let mid = self.visit(rhs, after);
-                self.visit(lhs, &mid)
+                self.visit(rhs, live);
+                self.visit(lhs, live);
             }
         }
+    }
+}
+
+/// `into ∪= other`.
+fn union(into: &mut [u64], other: &[u64]) {
+    for (a, b) in into.iter_mut().zip(other) {
+        *a |= b;
     }
 }
 

@@ -21,12 +21,11 @@
 
 mod rules;
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use fearless_core::{CheckedProgram, Derivation, Globals, TypeState};
-use fearless_syntax::{Expr, ExprId, FnDef};
+use fearless_syntax::FnDef;
 
 /// An error found while verifying a derivation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -145,15 +144,11 @@ pub fn verify_derivation_in_mode(
     derivation: &Derivation,
     mode: fearless_core::CheckerMode,
 ) -> Result<VerifyReport, VerifyError> {
-    let mut exprs: HashMap<ExprId, &Expr> = HashMap::new();
-    def.body.walk(&mut |e| {
-        exprs.insert(e.id, e);
-    });
     let mut cx = rules::Cx {
         globals,
         def,
         derivation,
-        exprs,
+        exprs: rules::ExprTable::new(&def.body),
         mode,
         report: VerifyReport::default(),
     };

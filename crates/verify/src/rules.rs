@@ -1,12 +1,10 @@
 //! Replay and local re-checking of derivation nodes.
 
-use std::collections::HashMap;
-
 use fearless_core::ctx::Binding;
 use fearless_core::derivation::{DerivNode, Rule, ValInfo};
 use fearless_core::unify::congruent;
 use fearless_core::{vir, Derivation, Globals, RegionId, TrackCtx, TypeState};
-use fearless_syntax::{Expr, ExprId, ExprKind, FnDef, RegionPath, Symbol, Type};
+use fearless_syntax::{Expr, ExprId, ExprKind, FieldDef, FnDef, RegionPath, Symbol, Type};
 
 use crate::{VerifyError, VerifyReport};
 
@@ -15,9 +13,35 @@ pub(crate) struct Cx<'a> {
     pub globals: &'a Globals,
     pub def: &'a FnDef,
     pub derivation: &'a Derivation,
-    pub exprs: HashMap<ExprId, &'a Expr>,
+    pub exprs: ExprTable<'a>,
     pub mode: fearless_core::CheckerMode,
     pub report: VerifyReport,
+}
+
+/// A function body's expressions by id: slot `k` holds the node with id
+/// `base + k`. A repeated id resolves to the last node with that id in
+/// walk order.
+pub(crate) struct ExprTable<'a> {
+    base: u32,
+    slots: Vec<Option<&'a Expr>>,
+}
+
+impl<'a> ExprTable<'a> {
+    pub(crate) fn new(body: &'a Expr) -> Self {
+        let (mut lo, mut hi) = (body.id.0, body.id.0);
+        body.walk(&mut |e| {
+            lo = lo.min(e.id.0);
+            hi = hi.max(e.id.0);
+        });
+        let mut slots = vec![None; (hi - lo) as usize + 1];
+        body.walk(&mut |e| slots[(e.id.0 - lo) as usize] = Some(e));
+        ExprTable { base: lo, slots }
+    }
+
+    fn get(&self, id: ExprId) -> Option<&'a Expr> {
+        let k = id.0.checked_sub(self.base)? as usize;
+        self.slots.get(k).copied().flatten()
+    }
 }
 
 /// Allowed implicit (rule-level) context changes while walking a chain.
@@ -51,11 +75,10 @@ impl<'a> Cx<'a> {
         VerifyError::new(self.def.name.as_str(), node, msg)
     }
 
-    fn expr(&self, node_idx: usize, id: Option<ExprId>) -> Result<&Expr, VerifyError> {
+    fn expr(&self, node_idx: usize, id: Option<ExprId>) -> Result<&'a Expr, VerifyError> {
         let id = id.ok_or_else(|| self.err(Some(node_idx), "rule node without expression"))?;
         self.exprs
-            .get(&id)
-            .copied()
+            .get(id)
             .ok_or_else(|| self.err(Some(node_idx), format!("unknown expression {id}")))
     }
 
@@ -67,13 +90,13 @@ impl<'a> Cx<'a> {
     }
 
     /// Finds the (unique) rule node for expression `id` within a chain.
-    fn rule_result(&self, chain: &[usize], id: ExprId) -> Result<ValInfo, VerifyError> {
+    fn rule_result(&self, chain: &[usize], id: ExprId) -> Result<&'a ValInfo, VerifyError> {
         for &idx in chain {
             let n = self.node(idx)?;
             if n.expr == Some(id) {
                 return n
                     .result
-                    .clone()
+                    .as_ref()
                     .ok_or_else(|| self.err(Some(idx), "rule node without result"));
             }
         }
@@ -307,13 +330,12 @@ impl<'a> Cx<'a> {
     #[allow(clippy::too_many_lines)]
     fn verify_rule(&mut self, idx: usize) -> Result<(), VerifyError> {
         let node = self.node(idx)?;
-        let e = self.expr(idx, node.expr)?.clone();
+        let e = self.expr(idx, node.expr)?;
         let result = node
             .result
-            .clone()
+            .as_ref()
             .ok_or_else(|| self.err(Some(idx), "rule node without result"))?;
-        let input = node.input.clone();
-        let output = node.output.clone();
+        let (input, output) = (&node.input, &node.output);
         output
             .well_formed()
             .map_err(|m| self.err(Some(idx), format!("ill-formed output: {m}")))?;
@@ -325,7 +347,7 @@ impl<'a> Cx<'a> {
                     matches!(e.kind, ExprKind::Unit),
                     "expected unit literal",
                 )?;
-                self.same(idx, eq_states(&input, &output), "literal changes context")?;
+                self.same(idx, eq_states(input, output), "literal changes context")?;
                 self.same(
                     idx,
                     result.ty == Type::Unit && result.region.is_none(),
@@ -338,7 +360,7 @@ impl<'a> Cx<'a> {
                     matches!(e.kind, ExprKind::Int(_)),
                     "expected int literal",
                 )?;
-                self.same(idx, eq_states(&input, &output), "literal changes context")?;
+                self.same(idx, eq_states(input, output), "literal changes context")?;
                 self.same(
                     idx,
                     result.ty == Type::Int && result.region.is_none(),
@@ -351,7 +373,7 @@ impl<'a> Cx<'a> {
                     matches!(e.kind, ExprKind::Bool(_)),
                     "expected bool literal",
                 )?;
-                self.same(idx, eq_states(&input, &output), "literal changes context")?;
+                self.same(idx, eq_states(input, output), "literal changes context")?;
                 self.same(
                     idx,
                     result.ty == Type::Bool && result.region.is_none(),
@@ -361,7 +383,7 @@ impl<'a> Cx<'a> {
             Rule::Var => {
                 self.same(
                     idx,
-                    eq_states(&input, &output),
+                    eq_states(input, output),
                     "variable read changes context",
                 )?;
                 match &e.kind {
@@ -393,8 +415,8 @@ impl<'a> Cx<'a> {
                 let ExprKind::Field(recv, f) = &e.kind else {
                     return Err(self.err(Some(idx), "expected field read"));
                 };
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
-                self.same(idx, eq_states(&end, &output), "field read premise mismatch")?;
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
+                self.same(idx, eq_states(&end, output), "field read premise mismatch")?;
                 let rv = self.rule_result(&node.chains[0], recv.id)?;
                 let fd = self.field_def(&rv.ty, f, idx)?;
                 self.same(idx, !fd.iso, "T4 on an iso field")?;
@@ -423,7 +445,7 @@ impl<'a> Cx<'a> {
                 let ExprKind::Var(x) = &recv.kind else {
                     return Err(self.err(Some(idx), "T5 requires a variable receiver"));
                 };
-                self.same(idx, eq_states(&input, &output), "iso read changes context")?;
+                self.same(idx, eq_states(input, output), "iso read changes context")?;
                 let b = input
                     .gamma
                     .get(x)
@@ -454,12 +476,12 @@ impl<'a> Cx<'a> {
                 let ExprKind::AssignVar(x, rhs) = &e.kind else {
                     return Err(self.err(Some(idx), "expected variable assignment"));
                 };
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let v = self.rule_result(&node.chains[0], rhs.id)?;
                 let mut expected = end;
                 self.same(
                     idx,
-                    expected.gamma.get(x).map(|b| b.ty.clone()) == Some(v.ty.clone()),
+                    expected.gamma.get(x).map(|b| &b.ty) == Some(&v.ty),
                     "assignment changes variable type",
                 )?;
                 self.same(
@@ -468,16 +490,16 @@ impl<'a> Cx<'a> {
                     "rebinding a tracked variable",
                 )?;
                 expected.gamma.set_region(x, v.region);
-                self.same(idx, eq_states(&expected, &output), "T8 output mismatch")?;
+                self.same(idx, eq_states(&expected, output), "T8 output mismatch")?;
                 self.same(idx, result.ty == Type::Unit, "assignment yields unit")
             }
             Rule::AssignField => {
                 let ExprKind::AssignField(recv, f, rhs) = &e.kind else {
                     return Err(self.err(Some(idx), "expected field assignment"));
                 };
-                let mid = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let mid = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let end = self.walk_chain(mid, &node.chains[1], &Tolerance::default())?;
-                self.same(idx, eq_states(&end, &output), "T6 output mismatch")?;
+                self.same(idx, eq_states(&end, output), "T6 output mismatch")?;
                 let rv = self.rule_result(&node.chains[0], recv.id)?;
                 let fd = self.field_def(&rv.ty, f, idx)?;
                 self.same(idx, !fd.iso, "T6 on an iso field")?;
@@ -493,21 +515,21 @@ impl<'a> Cx<'a> {
                 }
                 self.same(idx, result.ty == Type::Unit, "assignment yields unit")
             }
-            Rule::IsoAssignField => self.verify_iso_assign(idx, &e, &input, &output, &result),
-            Rule::Take => self.verify_take(idx, &e, &input, &output, &result),
+            Rule::IsoAssignField => self.verify_iso_assign(idx, e, input, output, result),
+            Rule::Take => self.verify_take(idx, e, input, output, result),
             Rule::Let => {
                 let ExprKind::Let { var, init, body } = &e.kind else {
                     return Err(self.err(Some(idx), "expected let"));
                 };
                 self.same(idx, !input.gamma.contains(var), "shadowing")?;
-                let s1 = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let s1 = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let v = self.rule_result(&node.chains[0], init.id)?;
                 let mut bound = s1;
                 bound.gamma.bind(
                     var.clone(),
                     Binding {
                         region: v.region,
-                        ty: v.ty,
+                        ty: v.ty.clone(),
                     },
                 );
                 let tol = Tolerance {
@@ -518,7 +540,7 @@ impl<'a> Cx<'a> {
                 if end.gamma.contains(var) {
                     end.gamma.unbind(var);
                 }
-                self.same(idx, eq_states(&end, &output), "let output mismatch")?;
+                self.same(idx, eq_states(&end, output), "let output mismatch")?;
                 let bv = self.rule_result(&node.chains[1], body.id)?;
                 self.same(idx, bv.ty == result.ty, "let result type mismatch")
             }
@@ -533,7 +555,7 @@ impl<'a> Cx<'a> {
                     return Err(self.err(Some(idx), "expected let some"));
                 };
                 self.same(idx, !input.gamma.contains(var), "shadowing")?;
-                let s0 = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let s0 = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let v = self.rule_result(&node.chains[0], init.id)?;
                 let Type::Maybe(inner) = &v.ty else {
                     return Err(self.err(Some(idx), "let some on non-maybe"));
@@ -561,13 +583,13 @@ impl<'a> Cx<'a> {
                 self.rule_result(&node.chains[2], else_branch.id)
                     .map_err(|_| self.err(Some(idx), "else chain does not type the else branch"))?;
                 self.same(idx, congruent(&e1, &e2), "branches do not unify")?;
-                self.same(idx, congruent(&e1, &output), "join output mismatch")?;
-                self.check_result_region(&output, &result, idx)
+                self.same(idx, congruent(&e1, output), "join output mismatch")?;
+                self.check_result_region(output, result, idx)
             }
             Rule::Seq => {
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
-                self.same(idx, eq_states(&end, &output), "sequence output mismatch")?;
-                self.check_result_region(&output, &result, idx)
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
+                self.same(idx, eq_states(&end, output), "sequence output mismatch")?;
+                self.check_result_region(output, result, idx)
             }
             Rule::If => {
                 let ExprKind::If {
@@ -578,7 +600,7 @@ impl<'a> Cx<'a> {
                 else {
                     return Err(self.err(Some(idx), "expected if"));
                 };
-                let c = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let c = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let cv = self.rule_result(&node.chains[0], cond.id)?;
                 self.same(idx, cv.ty == Type::Bool, "condition must be boolean")?;
                 let e1 = self.walk_chain(c.clone(), &node.chains[1], &Tolerance::default())?;
@@ -588,8 +610,8 @@ impl<'a> Cx<'a> {
                 self.rule_result(&node.chains[2], else_branch.id)
                     .map_err(|_| self.err(Some(idx), "else chain does not type the else branch"))?;
                 self.same(idx, congruent(&e1, &e2), "branches do not unify")?;
-                self.same(idx, congruent(&e1, &output), "join output mismatch")?;
-                self.check_result_region(&output, &result, idx)
+                self.same(idx, congruent(&e1, output), "join output mismatch")?;
+                self.check_result_region(output, result, idx)
             }
             Rule::IfDisconnected => {
                 let ExprKind::IfDisconnected {
@@ -631,20 +653,20 @@ impl<'a> Cx<'a> {
                 then_start.gamma.set_region(a, Some(ra));
                 then_start.gamma.set_region(b, Some(rb));
                 let e1 = self.walk_chain(then_start, &node.chains[0], &Tolerance::default())?;
-                let e2 = self.walk_chain(input, &node.chains[1], &Tolerance::default())?;
+                let e2 = self.walk_chain(input.clone(), &node.chains[1], &Tolerance::default())?;
                 self.rule_result(&node.chains[0], then_branch.id)
                     .map_err(|_| self.err(Some(idx), "then chain does not type the then branch"))?;
                 self.rule_result(&node.chains[1], else_branch.id)
                     .map_err(|_| self.err(Some(idx), "else chain does not type the else branch"))?;
                 self.same(idx, congruent(&e1, &e2), "branches do not unify")?;
-                self.same(idx, congruent(&e1, &output), "join output mismatch")?;
-                self.check_result_region(&output, &result, idx)
+                self.same(idx, congruent(&e1, output), "join output mismatch")?;
+                self.check_result_region(output, result, idx)
             }
             Rule::While => {
                 let ExprKind::While { cond, .. } = &e.kind else {
                     return Err(self.err(Some(idx), "expected while"));
                 };
-                let l = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let l = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let c = self.walk_chain(l.clone(), &node.chains[1], &Tolerance::default())?;
                 let cv = self.rule_result(&node.chains[1], cond.id)?;
                 self.same(idx, cv.ty == Type::Bool, "condition must be boolean")?;
@@ -659,16 +681,16 @@ impl<'a> Cx<'a> {
                     congruent(&b, &l),
                     "loop body does not restore the invariant",
                 )?;
-                self.same(idx, eq_states(&c, &output), "loop exit state mismatch")?;
+                self.same(idx, eq_states(&c, output), "loop exit state mismatch")?;
                 self.same(idx, result.ty == Type::Unit, "while yields unit")
             }
-            Rule::New => self.verify_new(idx, &e, &input, &output, &result),
+            Rule::New => self.verify_new(idx, e, input, output, result),
             Rule::SomeOf => {
                 let ExprKind::SomeOf(inner) = &e.kind else {
                     return Err(self.err(Some(idx), "expected some"));
                 };
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
-                self.same(idx, eq_states(&end, &output), "some output mismatch")?;
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
+                self.same(idx, eq_states(&end, output), "some output mismatch")?;
                 let v = self.rule_result(&node.chains[0], inner.id)?;
                 self.same(
                     idx,
@@ -680,7 +702,7 @@ impl<'a> Cx<'a> {
             Rule::NoneOf | Rule::Recv => {
                 let mut expected = input.clone();
                 if let Some(&fresh) = node.data.first() {
-                    self.same(idx, unmentioned(&input, fresh), "fresh region is mentioned")?;
+                    self.same(idx, unmentioned(input, fresh), "fresh region is mentioned")?;
                     expected.heap.insert(fresh, TrackCtx::empty());
                     self.same(
                         idx,
@@ -691,11 +713,11 @@ impl<'a> Cx<'a> {
                 } else {
                     self.same(idx, result.region.is_none(), "value result with region")?;
                 }
-                self.same(idx, eq_states(&expected, &output), "output mismatch")
+                self.same(idx, eq_states(&expected, output), "output mismatch")
             }
             Rule::IsNone | Rule::IsSome => {
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
-                self.same(idx, eq_states(&end, &output), "output mismatch")?;
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
+                self.same(idx, eq_states(&end, output), "output mismatch")?;
                 self.same(
                     idx,
                     result.ty == Type::Bool && result.region.is_none(),
@@ -703,16 +725,16 @@ impl<'a> Cx<'a> {
                 )
             }
             Rule::Binary | Rule::Unary => {
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
-                self.same(idx, eq_states(&end, &output), "output mismatch")?;
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
+                self.same(idx, eq_states(&end, output), "output mismatch")?;
                 self.same(idx, result.region.is_none(), "operators yield value types")
             }
-            Rule::Call => self.verify_call(idx, &e, &input, &output, &result),
+            Rule::Call => self.verify_call(idx, e, input, output, result),
             Rule::Send => {
                 let ExprKind::Send(inner) = &e.kind else {
                     return Err(self.err(Some(idx), "expected send"));
                 };
-                let end = self.walk_chain(input, &node.chains[0], &Tolerance::default())?;
+                let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
                 let mut expected = end.clone();
                 if let Some(&r) = node.data.first() {
                     let v = self.rule_result(&node.chains[0], inner.id)?;
@@ -726,7 +748,7 @@ impl<'a> Cx<'a> {
                     )?;
                     expected.heap.remove(r);
                 }
-                self.same(idx, eq_states(&expected, &output), "send output mismatch")?;
+                self.same(idx, eq_states(&expected, output), "send output mismatch")?;
                 self.same(idx, result.ty == Type::Unit, "send yields unit")
             }
             Rule::Vir => Err(self.err(Some(idx), "vir node dispatched as rule")),
@@ -758,12 +780,7 @@ impl<'a> Cx<'a> {
         Ok(())
     }
 
-    fn field_def(
-        &self,
-        ty: &Type,
-        f: &Symbol,
-        idx: usize,
-    ) -> Result<fearless_syntax::FieldDef, VerifyError> {
+    fn field_def(&self, ty: &Type, f: &Symbol, idx: usize) -> Result<&'a FieldDef, VerifyError> {
         let name = ty
             .struct_name()
             .ok_or_else(|| self.err(Some(idx), format!("{ty} has no fields")))?;
@@ -775,7 +792,6 @@ impl<'a> Cx<'a> {
             .struct_def(name)
             .ok_or_else(|| self.err(Some(idx), format!("unknown struct {name}")))?;
         sdef.field(f)
-            .cloned()
             .ok_or_else(|| self.err(Some(idx), format!("no field {f} on {name}")))
     }
 
@@ -798,12 +814,12 @@ impl<'a> Cx<'a> {
             .gamma
             .get(x)
             .ok_or_else(|| self.err(Some(idx), format!("{x} not in scope")))?;
-        let fd = self.field_def(&b.ty.clone(), f, idx)?;
+        let fd = self.field_def(&b.ty, f, idx)?;
         if !fd.iso {
             return Err(self.err(Some(idx), "T7 on a non-iso field"));
         }
-        let chain = node.chains[0].clone();
-        let end = self.walk_chain(input.clone(), &chain, &Tolerance::default())?;
+        let chain = &node.chains[0];
+        let end = self.walk_chain(input.clone(), chain, &Tolerance::default())?;
         if result.ty != Type::Unit {
             return Err(self.err(Some(idx), "assignment yields unit"));
         }
@@ -826,7 +842,7 @@ impl<'a> Cx<'a> {
             return Ok(());
         }
         // Tempered mode: the tracked mapping is retargeted to the RHS region.
-        let v = self.rule_result(&chain, rhs.id)?;
+        let v = self.rule_result(chain, rhs.id)?;
         let rv = v
             .region
             .ok_or_else(|| self.err(Some(idx), "iso field needs a reference value"))?;
@@ -872,7 +888,7 @@ impl<'a> Cx<'a> {
             .gamma
             .get(x)
             .ok_or_else(|| self.err(Some(idx), format!("{x} not in scope")))?;
-        let fd = self.field_def(&b.ty.clone(), f, idx)?;
+        let fd = self.field_def(&b.ty, f, idx)?;
         if !fd.iso || !matches!(fd.ty, Type::Maybe(_)) {
             return Err(self.err(Some(idx), "take requires an iso maybe field"));
         }
@@ -950,8 +966,7 @@ impl<'a> Cx<'a> {
         let sdef = self
             .globals
             .struct_def(name)
-            .ok_or_else(|| self.err(Some(idx), format!("unknown struct {name}")))?
-            .clone();
+            .ok_or_else(|| self.err(Some(idx), format!("unknown struct {name}")))?;
         if args.len() != sdef.fields.len() {
             return Err(self.err(Some(idx), "initializer arity mismatch"));
         }
@@ -1027,14 +1042,13 @@ impl<'a> Cx<'a> {
         let sig = self
             .globals
             .sig(name)
-            .ok_or_else(|| self.err(Some(idx), format!("unknown function {name}")))?
-            .clone();
+            .ok_or_else(|| self.err(Some(idx), format!("unknown function {name}")))?;
         if args.len() != sig.params.len() {
             return Err(self.err(Some(idx), "call arity mismatch"));
         }
         let info = node
             .call
-            .clone()
+            .as_ref()
             .ok_or_else(|| self.err(Some(idx), "call without summary"))?;
         let end = self.walk_chain(input.clone(), &node.chains[0], &Tolerance::default())?;
 
@@ -1159,5 +1173,48 @@ impl<'a> Cx<'a> {
             return Err(self.err(Some(idx), "value result with region"));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fearless_syntax::Span;
+
+    fn node(kind: ExprKind, id: u32) -> Expr {
+        Expr {
+            kind,
+            span: Span::dummy(),
+            id: ExprId(id),
+        }
+    }
+
+    #[test]
+    fn expr_table_resolves_ids_and_keeps_the_last_duplicate() {
+        // Pre-order walk: 5, 7, 7 (the `Int(2)` comes last), 9.
+        let body = node(
+            ExprKind::Seq(vec![
+                node(ExprKind::Int(1), 7),
+                node(ExprKind::Int(2), 7),
+                node(ExprKind::Bool(true), 9),
+            ]),
+            5,
+        );
+        let table = ExprTable::new(&body);
+        assert!(matches!(
+            table.get(ExprId(5)).unwrap().kind,
+            ExprKind::Seq(_)
+        ));
+        assert!(matches!(
+            table.get(ExprId(7)).unwrap().kind,
+            ExprKind::Int(2)
+        ));
+        assert!(matches!(
+            table.get(ExprId(9)).unwrap().kind,
+            ExprKind::Bool(true)
+        ));
+        for missing in [0, 4, 6, 8, 10, u32::MAX] {
+            assert!(table.get(ExprId(missing)).is_none(), "e{missing}");
+        }
     }
 }
