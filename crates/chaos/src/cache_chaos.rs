@@ -1,6 +1,6 @@
-//! Cache-corruption drills: save a real store document — the check
-//! table (`check-cache.json`) and the flow table (`flow.json`) — damage
-//! it the way crashes damage files (truncation, bit flips, torn writes,
+//! Cache-corruption drills: save a real store log — the check table
+//! (`check-cache.json`) and the flow table (`flow.json`) — damage it
+//! the way crashes damage files (truncation, bit flips, torn writes,
 //! stale schema), reload, and verify the crash-safety contract end to
 //! end: the corrupted run's output must be **byte-identical** to a cold
 //! run's, with the recovery visible only in the load outcome and the
@@ -189,6 +189,10 @@ pub struct ConcurrencyOutcome {
     pub rounds: usize,
     /// Total load+save cycles completed.
     pub cycles: u64,
+    /// Cycles whose save had records to write. Every round edits one
+    /// function, so this equals `cycles`: each save appends or compacts
+    /// while other writers load.
+    pub writes: u64,
     /// Recoveries observed by any racing loader. **Must be 0**: with
     /// atomic renames, checksums, and the advisory save lock, no
     /// interleaving of savers and loaders may ever surface a torn or
@@ -200,9 +204,12 @@ pub struct ConcurrencyOutcome {
 
 /// The two-process drill: `writers` threads race `rounds` rounds of
 /// load → check → save over one cache directory, each round verifying
-/// the loaded document was complete. Extends the corruption matrix with
-/// the *concurrent-access-never-corrupts* contract the advisory save
-/// lock (`fearless_incr::disk`) exists to keep cheap.
+/// the loaded log was complete. Besides `units`, each round checks one
+/// function whose literal is new to that writer and round, so every
+/// save has a record to append (or a journal to compact) while the
+/// other writers load. Extends the corruption matrix with the
+/// *concurrent-access-never-corrupts* contract the advisory save lock
+/// (`fearless_incr::disk`) exists to keep cheap.
 ///
 /// # Errors
 ///
@@ -217,30 +224,37 @@ pub fn run_concurrency_drill(
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let units = std::sync::Arc::new(units.to_vec());
     let mut handles = Vec::new();
-    for _ in 0..writers.max(1) {
+    for writer in 0..writers.max(1) {
         let dir = dir.to_path_buf();
         let units = std::sync::Arc::clone(&units);
-        handles.push(std::thread::spawn(move || -> Result<(u64, u64), String> {
+        handles.push(std::thread::spawn(move || -> Result<[u64; 3], String> {
             let opts = CheckerOptions::default();
-            let mut cycles = 0u64;
-            let mut recoveries = 0u64;
-            for _ in 0..rounds.max(1) {
+            let [mut cycles, mut writes, mut recoveries] = [0u64; 3];
+            for round in 0..rounds.max(1) {
+                let edit = format!(
+                    "def edit(x : int) : int {{ x + {} }}",
+                    writer * 1000 + round
+                );
+                let edit = fearless_syntax::parse_program(&edit).map_err(|e| e.render(&edit))?;
                 let mut cache = DiskCache::load(&dir);
                 recoveries += u64::from(cache.recovered_reason().is_some());
                 let _ = check_units(&units, &opts, 1, Some(&mut cache), &mut Tracer::off());
+                let edit = [(format!("writer-{writer}"), edit)];
+                let _ = check_units(&edit, &opts, 1, Some(&mut cache), &mut Tracer::off());
+                writes += u64::from(cache.dirty() > 0);
                 cache.save()?;
                 cycles += 1;
             }
-            Ok((cycles, recoveries))
+            Ok([cycles, writes, recoveries])
         }));
     }
-    let mut cycles = 0u64;
-    let mut recoveries = 0u64;
+    let [mut cycles, mut writes, mut recoveries] = [0u64; 3];
     for h in handles {
-        let (c, r) = h
+        let [c, w, r] = h
             .join()
             .map_err(|_| "concurrency drill writer panicked".to_string())??;
         cycles += c;
+        writes += w;
         recoveries += r;
     }
     let final_warm = DiskCache::load(dir).load_outcome() == fearless_incr::disk::LoadOutcome::Warm;
@@ -249,6 +263,7 @@ pub fn run_concurrency_drill(
         writers: writers.max(1),
         rounds: rounds.max(1),
         cycles,
+        writes,
         recoveries,
         final_warm,
     })
@@ -303,6 +318,7 @@ mod tests {
         let dir = drill_dir("concurrent");
         let outcome = run_concurrency_drill(&dir, &units, 4, 5).unwrap();
         assert_eq!(outcome.cycles, 20);
+        assert_eq!(outcome.writes, 20, "every round must race a write");
         assert_eq!(
             outcome.recoveries, 0,
             "a racing loader observed a torn document: {outcome:?}"

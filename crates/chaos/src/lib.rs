@@ -30,7 +30,7 @@
 //!   garbage frames, connection slams) plus the guard drills (worker
 //!   panics → quarantine, deterministic deadlines, stale-while-
 //!   revalidate, bounded retries, and a simulated `kill -9` recovered
-//!   through the cache write-ahead log), every seed under a watchdog.
+//!   through the cache log's journal), every seed under a watchdog.
 //!
 //! The determinism rule: every decision anywhere in this crate is a
 //! function of an explicit seed. Identical seeds produce byte-identical

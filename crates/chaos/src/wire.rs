@@ -2,7 +2,7 @@
 //! (torn headers, split writes, garbage frames, connection slams)
 //! plus the guard-layer drills (worker-panic quarantine, deterministic
 //! deadlines, stale-while-revalidate, bounded retries, and a simulated
-//! `kill -9` recovered through the cache write-ahead log).
+//! `kill -9` recovered through the cache log's journal).
 //!
 //! Every fault is a function of the seed; every response must carry a
 //! documented protocol code or show up in a recovery counter, and the
@@ -67,7 +67,7 @@ pub struct WireSeedOutcome {
     pub worker_restarts: u64,
     /// Requests quarantined to a memoized code 70 (daemon counter).
     pub quarantined: u64,
-    /// WAL records replayed by the post-"crash" daemon.
+    /// Cache-log journal records replayed by the post-"crash" daemon.
     pub wal_replayed: u64,
     /// The simulated kill -9 was recovered byte-identically.
     pub recovery_byte_identical: bool,
@@ -181,7 +181,7 @@ impl WireDrillReport {
              {} overloaded, {} deadline-exceeded\n\
              survived: {} ok response(s) under byte-level abuse\n\
              guard: {} worker restart(s), {} quarantine(s), {} stale serve(s), {} retr(ies)\n\
-             crash recovery: {recovered}/{n} seed(s) replayed {} WAL record(s) byte-identically\n",
+             crash recovery: {recovered}/{n} seed(s) replayed {} journal record(s) byte-identically\n",
             WIRE_FAULTS.len(),
             self.total(|o| o.truncated),
             self.total(|o| o.oversized),
@@ -497,9 +497,9 @@ pub fn run_wire_drill(dir: &Path, seed: u64) -> Result<WireSeedOutcome, String> 
         expect_code("filler completes", &r, codes::OK)?;
     }
 
-    // --- Simulated kill -9 + WAL recovery ------------------------------
+    // --- Simulated kill -9 + journal recovery --------------------------
     // Snapshot the cache directory while the daemon is live: the bytes
-    // a SIGKILL would leave behind (WAL populated, no clean save yet).
+    // a SIGKILL would leave behind (journal populated, not compacted).
     let crash_dir = dir.join("cache-at-crash");
     std::fs::create_dir_all(&crash_dir).map_err(|e| format!("create crash dir: {e}"))?;
     for entry in
@@ -523,7 +523,7 @@ pub fn run_wire_drill(dir: &Path, seed: u64) -> Result<WireSeedOutcome, String> 
     let stats = c.request("stats", "")?;
     out.wal_replayed = stat(&stats.output, "wal_replayed");
     if out.wal_replayed == 0 {
-        return Err("recovery: the WAL replayed nothing".to_string());
+        return Err("recovery: the journal replayed nothing".to_string());
     }
     let recovered = c.request("check", recovery_body)?;
     out.recovery_byte_identical = recovered.to_json() == recovered_reference.to_json();

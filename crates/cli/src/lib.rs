@@ -246,9 +246,9 @@ USAGE:
   with a structured code 8, and persists the cache before exiting.
   --once runs the in-process protocol self-test and exits. The guard
   layer (docs/GUARD.md) supervises workers (a panicking request is
-  retried once, then quarantined to code 70), journals every cache
-  mutation to a checksummed WAL so a kill -9 recovers byte-identically
-  on restart, and honors per-request deterministic deadlines and
+  retried once, then quarantined to code 70), appends every cache
+  change to the cache's checksummed log before answering so a kill -9
+  recovers byte-identically on restart, and honors per-request deterministic deadlines and
   staleness tolerance. client sends one request (`fearlessc client
   check file.fl --socket S`; control kinds: ping, stats, pause,
   resume, reset, shutdown) and exits 0 on an ok response, 1 otherwise;
@@ -268,7 +268,7 @@ USAGE:
   drills (`chaos drills`), and wire-level socket chaos against the
   serve daemon (`chaos serve`: torn headers, split writes, garbage
   frames, connection slams, injected worker panics, and a simulated
-  kill -9 recovered through the cache WAL — every fault must land on
+  kill -9 recovered through the cache log's journal — every fault must land on
   its documented protocol code, every seed runs under a --watchdog,
   and --out writes the bench-diff-gated BENCH_guard.json). --faults
   takes `all`, `none`, or a comma list of delay, reorder, drop,

@@ -1,10 +1,11 @@
 //! The flow-summary table (`fearlessc flow --cache <dir>`).
 //!
 //! A second typed table in `fearless-incr`'s one fingerprint store: the
-//! document (`flow.json`, schema `fearless-flow-cache/2`) gets the
-//! store's embedded content checksum, atomic save, advisory save lock
-//! (`flow.lock`), and [`LoadOutcome`](fearless_incr::LoadOutcome)
-//! recovery signal, degrading to a cold start on *any* corruption.
+//! log (`flow.json`, schema `fearless-flow-cache/3`, one checksummed
+//! record per key) gets the store's append-or-compact save, advisory
+//! save lock (`flow.lock`), and
+//! [`LoadOutcome`](fearless_incr::LoadOutcome) recovery signal,
+//! degrading to a cold start on any corruption of its snapshot.
 //!
 //! Entries are keyed by [`fn_key`]: a checksum over the function's own
 //! checker [`Fingerprint`](fearless_core::Fingerprint) and the
@@ -13,8 +14,10 @@
 //! cross-function state, recomputed cheaply on every load), so warm and
 //! cold runs render byte-identical flow-facts documents.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
+use fearless_incr::disk::insert_changed;
 use fearless_incr::{checksum_hex, Store, Table};
 use fearless_runtime::{CompiledProgram, Inst, StepSafety};
 use fearless_trace::Json;
@@ -24,7 +27,7 @@ use crate::FnSummary;
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = FlowTable::FILE;
 
-/// Schema tag of the cache document.
+/// Schema tag of the cache log.
 pub const CACHE_SCHEMA: &str = FlowTable::SCHEMA;
 
 /// The cache key for function `func`: own fingerprint plus the sorted
@@ -70,7 +73,7 @@ pub(crate) fn fn_key(
 /// One cached per-function summary (everything but the cross-function
 /// `heap_quiet` closure).
 #[derive(Clone, PartialEq, Eq, Debug)]
-struct CachedSummary {
+pub struct CachedSummary {
     name: String,
     safety: String,
     local_heap_quiet: bool,
@@ -78,8 +81,19 @@ struct CachedSummary {
 }
 
 impl CachedSummary {
-    fn to_json(&self) -> Json {
+    /// The cacheable part of `summary`.
+    pub(crate) fn of(summary: &FnSummary) -> CachedSummary {
+        CachedSummary {
+            name: summary.name.clone(),
+            safety: summary.safety_string(),
+            local_heap_quiet: summary.local_heap_quiet,
+            callees: summary.callees.clone(),
+        }
+    }
+
+    fn to_json(&self, key: &str) -> Json {
         Json::obj([
+            ("key", Json::str(key)),
             ("name", Json::str(self.name.clone())),
             ("safety", Json::str(self.safety.clone())),
             ("local_heap_quiet", Json::Bool(self.local_heap_quiet)),
@@ -88,33 +102,6 @@ impl CachedSummary {
                 Json::Arr(self.callees.iter().map(|c| Json::str(c.clone())).collect()),
             ),
         ])
-    }
-
-    fn from_json(mut v: Json) -> Option<CachedSummary> {
-        let Some(Json::Str(name)) = v.take("name") else {
-            return None;
-        };
-        let Some(Json::Str(safety)) = v.take("safety") else {
-            return None;
-        };
-        let Some(Json::Bool(local_heap_quiet)) = v.take("local_heap_quiet") else {
-            return None;
-        };
-        let mut callees = Vec::new();
-        if let Json::Arr(items) = v.take("callees")? {
-            for item in items {
-                match item {
-                    Json::Str(s) => callees.push(s),
-                    _ => return None,
-                }
-            }
-        }
-        Some(CachedSummary {
-            name,
-            safety,
-            local_heap_quiet,
-            callees,
-        })
     }
 
     fn decode(&self) -> Option<FnSummary> {
@@ -141,34 +128,58 @@ pub type FlowCache = Store<FlowTable>;
 #[derive(Debug, Default)]
 pub struct FlowTable {
     entries: BTreeMap<String, CachedSummary>,
-    hits: u64,
-    misses: u64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl Table for FlowTable {
     const FILE: &'static str = "flow.json";
-    const SCHEMA: &'static str = "fearless-flow-cache/2";
-    const FIELDS: &'static [&'static str] = &["entries"];
+    const SCHEMA: &'static str = "fearless-flow-cache/3";
+    /// A key and the summary stored under it.
+    type Record = (String, CachedSummary);
 
-    fn to_fields(&self) -> Vec<Json> {
-        vec![Json::Obj(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        )]
+    fn encode((key, summary): &Self::Record) -> Json {
+        summary.to_json(key)
     }
 
-    fn from_fields(fields: Vec<Json>) -> Self {
-        let mut table = FlowTable::default();
-        if let Some(Json::Obj(entries)) = fields.into_iter().next() {
-            for (key, v) in entries {
-                if let Some(summary) = CachedSummary::from_json(v) {
-                    table.entries.insert(key, summary);
-                }
-            }
-        }
-        table
+    fn decode(mut v: Json) -> Option<Self::Record> {
+        let mut text = |k: &str| match v.take(k)? {
+            Json::Str(s) => Some(s),
+            _ => None,
+        };
+        let (key, name, safety) = (text("key")?, text("name")?, text("safety")?);
+        let Some(Json::Bool(local_heap_quiet)) = v.take("local_heap_quiet") else {
+            return None;
+        };
+        let Json::Arr(items) = v.take("callees")? else {
+            return None;
+        };
+        let callees = items
+            .into_iter()
+            .map(|item| match item {
+                Json::Str(s) => Some(s),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        let summary = CachedSummary {
+            name,
+            safety,
+            local_heap_quiet,
+            callees,
+        };
+        Some((key, summary))
+    }
+
+    fn apply(&mut self, (key, summary): Self::Record) -> bool {
+        insert_changed(&mut self.entries, key, summary)
+    }
+
+    fn records(&self) -> Vec<Json> {
+        self.entries.iter().map(|(k, v)| v.to_json(k)).collect()
+    }
+
+    fn live(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -185,37 +196,25 @@ impl FlowTable {
 
     /// `(hits, misses)` counted across lookups so far.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        (self.hits.get(), self.misses.get())
     }
 
     /// Looks up (and decodes) a cached summary, counting a hit or miss.
     /// The stored name must match `name` — a checksum collision across
     /// functions must not smuggle one function's verdicts into another.
-    pub(crate) fn lookup(&mut self, key: &str, name: &str) -> Option<FnSummary> {
+    pub(crate) fn lookup(&self, key: &str, name: &str) -> Option<FnSummary> {
         let found = self
             .entries
             .get(key)
             .filter(|s| s.name == name)
             .and_then(|s| s.decode());
-        if found.is_some() {
-            self.hits += 1;
+        let counter = if found.is_some() {
+            &self.hits
         } else {
-            self.misses += 1;
-        }
+            &self.misses
+        };
+        counter.set(counter.get() + 1);
         found
-    }
-
-    /// Stores `summary` under `key`.
-    pub(crate) fn insert(&mut self, key: &str, summary: &FnSummary) {
-        self.entries.insert(
-            key.to_string(),
-            CachedSummary {
-                name: summary.name.clone(),
-                safety: summary.safety_string(),
-                local_heap_quiet: summary.local_heap_quiet,
-                callees: summary.callees.clone(),
-            },
-        );
     }
 }
 
@@ -318,24 +317,79 @@ mod tests {
             assert!(cache.is_empty(), "{reason}");
             assert_eq!(cache.load_outcome(), LoadOutcome::Recovered(reason));
         };
-        recovers("{ not json", "malformed json");
+        recovers("{ not json", "schema mismatch");
         recovers(
-            &format!("{{\n  \"schema\": \"{CACHE_SCHEMA}\",\n  \"entries\": {{}}\n}}"),
-            "missing checksum",
+            &format!("{CACHE_SCHEMA}\n{{\"commit\": 0}}\n"),
+            "checksum mismatch",
         );
-        recovers(
-            "{\n  \"schema\": \"fearless-flow-cache/1\",\n  \"entries\": {}\n}",
-            "schema mismatch",
-        );
+        recovers(&format!("{CACHE_SCHEMA}\n"), "truncated");
+        recovers("fearless-flow-cache/1\n", "schema mismatch");
 
-        // A payload edit that still parses is caught by the checksum.
+        // A record edit that still parses is caught by its checksum.
         let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
         let mut cache = FlowCache::ephemeral();
         analyze_checked_cached(&checked, &mut cache).expect("analyzes");
         recovers(
-            &cache.to_json().replace("set_value", "set_valuf"),
+            &cache.snapshot().replace("set_value", "set_valuf"),
             "checksum mismatch",
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_schema_2_document_is_one_cold_recovery() {
+        // The one-document format before the record log.
+        let dir = temp_dir("schema-2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old =
+            "{\n  \"schema\": \"fearless-flow-cache/2\",\n  \"checksum\": \"0f3a9c2e7d1b5a40\",\
+                   \n  \"entries\": {\n    \"3c9d0e4f1a2b7c85\": {\n      \"name\": \"set_value\",\
+                   \n      \"safety\": \"SS\",\n      \"local_heap_quiet\": false,\
+                   \n      \"callees\": []\n    }\n  }\n}\n";
+        std::fs::write(dir.join(CACHE_FILE), old).unwrap();
+        let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
+        let mut loaded = FlowCache::load(&dir);
+        assert_eq!(
+            loaded.load_outcome(),
+            LoadOutcome::Recovered("schema mismatch")
+        );
+        let flow = analyze_checked_cached(&checked, &mut loaded).expect("analyzes");
+        assert_eq!(loaded.stats(), (0, 2), "nothing replays from it");
+        let direct = analyze_source(SRC, &CheckerOptions::default()).expect("analyzes");
+        assert_eq!(flow.to_json(), direct.to_json());
+        // One recovery, not one per load: the save replaces it.
+        loaded.save().expect("saves");
+        assert_eq!(FlowCache::load(&dir).load_outcome(), LoadOutcome::Warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_all_hit_run_writes_nothing_and_an_edit_appends() {
+        let dir = temp_dir("append");
+        let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
+        let mut cache = FlowCache::load(&dir);
+        analyze_checked_cached(&checked, &mut cache).expect("analyzes");
+        cache.save().expect("saves");
+        let path = dir.join(CACHE_FILE);
+        let snapshot = std::fs::read_to_string(&path).unwrap();
+
+        let mut warm = FlowCache::load(&dir);
+        analyze_checked_cached(&checked, &mut warm).expect("analyzes");
+        assert_eq!(warm.dirty(), 0);
+        warm.save().expect("saves");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), snapshot);
+
+        // `set_value` changes; `relink` calls it: two fresh records.
+        let edited = SRC.replace("d.value = 7", "d.value = 8");
+        let checked2 = check_source(&edited, &CheckerOptions::default()).expect("checks");
+        analyze_checked_cached(&checked2, &mut warm).expect("analyzes");
+        warm.save().expect("saves");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let journal = text.strip_prefix(&snapshot).expect("appended");
+        assert_eq!(journal.lines().count(), 2);
+        let loaded = FlowCache::load(&dir);
+        assert_eq!(loaded.replayed(), 2);
+        assert_eq!(loaded.snapshot(), warm.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -364,7 +418,7 @@ mod tests {
         analyze_checked_cached(&checked, &mut cache).expect("analyzes");
         cache.save().expect("saves");
         let loaded = FlowCache::load(&dir);
-        assert_eq!(loaded.to_json(), cache.to_json());
+        assert_eq!(loaded.snapshot(), cache.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -293,7 +293,7 @@ pub fn analyze_checked_cached(
             heap_quiet: local,
             callees: direct_callees(&compiled, i),
         };
-        cache.insert(&key, &summary);
+        cache.put((key, cache::CachedSummary::of(&summary)));
         funcs.push(summary);
     }
     // The closure is cross-function state, so it is recomputed from the

@@ -1,63 +1,92 @@
-//! The on-disk fingerprint store: one document path, typed tables.
+//! The on-disk fingerprint store: one record-log format, typed tables.
 //!
 //! Every persistent cache in the workspace is a [`Store`] over a
-//! [`Table`]. The store owns the document handling — schema tag, content
-//! checksum, load with a [`LoadOutcome`], atomic save, advisory lock —
-//! and the table owns only its typed payload. Two tables exist:
+//! [`Table`]. The store owns the file handling — schema header, per-line
+//! checksums, load with a [`LoadOutcome`], append or compacting save,
+//! advisory lock — and the table owns only its typed records. Two
+//! tables exist:
 //!
-//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/2`,
-//!   the [`DiskCache`] behind `fearlessc check --cache <dir>`). Entries
-//!   are content-addressed by [`Fingerprint`] hex and store the
-//!   per-function check *summary* — verdict, derivation shape, and the
-//!   span counter map — not the derivation itself: enough to replay
-//!   `fearlessc check`'s report, diagnostics, and `--metrics json` spans
-//!   byte-for-byte without re-deriving anything. A `names` table maps the
-//!   last fingerprint seen per qualified function name, which is what
-//!   turns a content change into a counted *invalidation*.
+//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/3`,
+//!   the [`DiskCache`] behind `fearlessc check --cache <dir>` and the
+//!   `fearlessc serve` daemon). Entries are content-addressed by
+//!   [`Fingerprint`] hex and store the per-function check *summary* —
+//!   verdict, derivation shape, and the span counter map — not the
+//!   derivation itself: enough to replay `fearlessc check`'s report,
+//!   diagnostics, and `--metrics json` spans byte-for-byte without
+//!   re-deriving anything. Name records map the last fingerprint seen
+//!   per qualified function name, which is what turns a content change
+//!   into a counted *invalidation*.
 //! * `fearless_flow::FlowTable` (`flow.json`), the flow-summary cache.
 //!
-//! The workspace is offline by design, so documents are rendered through
-//! `fearless-trace`'s [`Json`] tree and read back by the minimal parser
-//! in this module (exactly the subset that renderer emits). A missing or
-//! unreadable file degrades to an empty table, never an error.
+//! ## Format
+//!
+//! A table's file is an append-only log of records:
+//!
+//! ```text
+//! fearless-incr-cache/3
+//! <fnv64 hex> {"entry": "<fingerprint>", "outcome": {…}}
+//! <fnv64 hex> {"name": "<qualified name>", "fp": "<fingerprint>"}
+//! <fnv64 hex> {"commit": 2}
+//! <fnv64 hex> {"name": …}          ← journal: appended after the commit
+//! ```
+//!
+//! The first line is the schema tag. Every later line is the FNV-1a 64
+//! checksum of its record's compact JSON, a space, and those bytes, so
+//! [`Store::load`] checks each line over the bytes as read and parses it
+//! once with [`parse_json`]. A *snapshot* is every live record followed
+//! by a commit line carrying the record count. Records after the commit
+//! are the *journal*: later changes, applied in order on load. A missing
+//! or unreadable file degrades to an empty table, never an error.
+//!
+//! ## Save
+//!
+//! The store tracks which records changed since its last load or
+//! write. [`Store::save`] then does the least that keeps the file equal
+//! to the table:
+//!
+//! * nothing changed: no write, no temp file, no lock;
+//! * the file is this store's log (loaded warm with an intact journal,
+//!   or written by this store) and the journal stays within
+//!   [`JOURNAL_FACTOR`] times the live records: the changed records are
+//!   appended with one write;
+//! * otherwise ([`Store::compact`]): a fresh snapshot is written to a
+//!   temp file in the cache directory and `rename`d over the log, so a
+//!   crash mid-save leaves the old log or the new one, never a hybrid.
 //!
 //! ## Crash safety
 //!
 //! A cache must survive any on-disk corruption — truncation, bit flips,
 //! torn writes, schema drift — by silently degrading to a cold start
-//! with byte-identical output. Three mechanisms enforce that, once, for
-//! every table:
+//! with byte-identical output. The one reader enforces it for every
+//! table and for the daemon's crash recovery alike:
 //!
-//! * **Atomic save**: [`Store::save`] writes a temp file in the cache
-//!   directory and `rename`s it over the document, so a crash mid-save
-//!   leaves either the old document or the new one, never a torn hybrid
-//!   (a stray temp file is inert).
-//! * **Content checksum**: the document embeds an FNV-1a 64 checksum of
-//!   the table's payload fields as rendered. A save renders the payload
-//!   once, checksums those bytes and writes them after the schema and
-//!   checksum members. A [`Store::load`] is one linear [`parse_json`]
-//!   pass plus this checksum over the payload bytes as read, so every
-//!   byte of the document is covered; the parsed fields are then moved,
-//!   not cloned, into the table. Any mismatch (or malformed JSON, or a
-//!   schema-tag mismatch) discards the file and records a
-//!   [`LoadOutcome::Recovered`] that drivers surface as the
-//!   `cache_recoveries` stat and a `cache_recovery` trace event.
-//! * **Advisory save lock**: long-lived processes (the `fearlessc
-//!   serve` daemon) and batch invocations may share one cache
-//!   directory. [`Store::save`] takes a best-effort advisory lock named
-//!   after the document (`check-cache.lock`, `flow.lock`; created with
-//!   `O_EXCL`) so concurrent savers serialize instead of stampeding; a
-//!   lock older than [`LOCK_STALE_SECS`] is presumed abandoned by a
-//!   crashed holder and stolen. If the lock never frees, the save
-//!   proceeds anyway — last-writer-wins is safe here because the atomic
-//!   rename and the content checksum already guarantee every reader sees
-//!   some complete, verified document; the lock only reduces wasted
-//!   writes, it is not needed for correctness. The two-process drill in
-//!   `fearless-chaos` (`run_concurrency_drill`) pins the contract:
-//!   concurrent save/load cycles never observe a recovery.
+//! * **Snapshot**: a wrong schema tag, or any torn, checksum-failing or
+//!   malformed line before the commit, or a commit whose count is wrong,
+//!   discards the whole file and records a [`LoadOutcome::Recovered`]
+//!   that drivers surface as the `cache_recoveries` stat and a
+//!   `cache_recovery` trace event. A file cut at any line boundary
+//!   lacks its commit line, so it recovers too.
+//! * **Journal**: replay stops at the first torn, checksum-failing or
+//!   malformed line and keeps every record before it. That is the
+//!   signature of a crash mid-append, not of corruption, so it counts no
+//!   recovery; the next save compacts. [`Store::replayed`] reports how
+//!   many journal records the load applied.
+//! * **Advisory save lock**: long-lived processes (the daemon) and
+//!   batch invocations may share one cache directory. Appends and
+//!   compactions take a best-effort advisory lock named after the file
+//!   (`check-cache.lock`, `flow.lock`; created with `O_EXCL`) so
+//!   concurrent savers serialize instead of interleaving; a lock older
+//!   than [`LOCK_STALE_SECS`] is presumed abandoned by a crashed holder
+//!   and stolen. If the lock never frees, the save proceeds anyway:
+//!   records are keyed, so any interleaving of whole lines replays to a
+//!   valid table, and the checksums stop a reader at a partial one. The
+//!   two-process drill in `fearless-chaos` (`run_concurrency_drill`)
+//!   pins the contract: concurrent save/load cycles never observe a
+//!   recovery.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 use fearless_core::Fingerprint;
@@ -69,6 +98,10 @@ pub const CACHE_FILE: &str = CheckTable::FILE;
 /// Age (seconds) past which a lock file is presumed abandoned by a
 /// crashed holder and stolen.
 pub const LOCK_STALE_SECS: u64 = 30;
+
+/// A save appends while the journal holds at most this many records per
+/// live record of the table; past that it compacts.
+pub const JOURNAL_FACTOR: usize = 2;
 
 /// A held (or deliberately skipped) advisory save lock. Dropping a held
 /// lock removes the lock file.
@@ -291,28 +324,28 @@ impl CachedOutcome {
 /// How a [`Store::load`] went.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LoadOutcome {
-    /// No persistent document existed (first run, or an ephemeral
-    /// store) — an ordinary cold start.
+    /// No persistent file existed (first run, or an ephemeral store) —
+    /// an ordinary cold start.
     #[default]
     Cold,
-    /// The document parsed and its checksum verified; entries are live.
+    /// The snapshot verified; its records and the intact journal prefix
+    /// are live.
     Warm,
-    /// A document existed but was unusable; the store degraded to a
-    /// cold start. The payload says why (for the trace event) — it
+    /// A file existed but its snapshot was unusable; the store degraded
+    /// to a cold start. The payload says why (for the trace event) — it
     /// never changes diagnostics.
     Recovered(&'static str),
 }
 
-/// FNV-1a 64 over `text`, in fixed-width lowercase hex — the content
-/// checksum embedded in (and verified against) every cache document.
+/// FNV-1a 64 over `text`, in fixed-width lowercase hex — the checksum
+/// that starts every record line of a cache log.
 pub fn checksum_hex(text: &str) -> String {
-    format!("{:016x}", fnv1a64(FNV64_OFFSET, text.as_bytes()))
+    format!("{:016x}", fnv1a64(text.as_bytes()))
 }
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues an FNV-1a 64 hash from state `h` over `bytes`.
-fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -320,44 +353,56 @@ fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// A document up to its payload: the opening brace, the schema and
-/// checksum members, and the comma before the first payload field. The
-/// payload rendering minus its own opening brace follows, so a document
-/// is byte-for-byte the rendering of all four fields as one object.
-fn document_head(schema: &str, checksum: &str) -> String {
-    format!("{{\n  \"schema\": \"{schema}\",\n  \"checksum\": \"{checksum}\",")
-}
-
-/// A typed table persisted as one checksummed document by [`Store`].
-///
-/// The document is `{schema, checksum, <FIELDS...>}`; the checksum
-/// covers the rendering of exactly the payload fields.
+/// A typed table persisted by [`Store`] as a log of records, one record
+/// per key.
 pub trait Table: Default {
     /// File name inside the cache directory.
     const FILE: &'static str;
-    /// Schema tag of the document.
+    /// Schema tag, the log's first line.
     const SCHEMA: &'static str;
-    /// Payload field names, in document order (at least one).
-    const FIELDS: &'static [&'static str];
+    /// One record: the value stored under one key.
+    type Record;
 
-    /// Renders the payload: one value per name in [`Table::FIELDS`].
-    fn to_fields(&self) -> Vec<Json>;
+    /// Renders a record as the JSON its log line holds.
+    fn encode(record: &Self::Record) -> Json;
 
-    /// Rebuilds the table from checksum-verified payload values, one per
-    /// name in [`Table::FIELDS`] (an absent field arrives as an empty
-    /// object). Malformed items are skipped: a load degrades, it never
-    /// errors.
-    fn from_fields(fields: Vec<Json>) -> Self;
+    /// Reads a record back; `None` when `value` is not one.
+    fn decode(value: Json) -> Option<Self::Record>;
+
+    /// Stores a record, returning whether the table changed.
+    fn apply(&mut self, record: Self::Record) -> bool;
+
+    /// Every live record, encoded, in snapshot order.
+    fn records(&self) -> Vec<Json>;
+
+    /// How many records [`Table::records`] returns.
+    fn live(&self) -> usize;
 }
 
-/// A [`Table`] plus where it persists and how its last load went.
-/// Dereferences to the table, so table methods are called on the store
-/// directly.
+/// A [`Table`] plus where it persists, how its last load went, and what
+/// changed since. Dereferences to the table for reads; every change
+/// goes through [`Store::put`], so the store knows what to write.
 #[derive(Debug, Default)]
 pub struct Store<T> {
     dir: Option<PathBuf>,
     load_outcome: LoadOutcome,
+    replayed: usize,
+    log: RefCell<Log>,
     table: T,
+}
+
+/// What the store's file holds relative to its table. Behind a
+/// `RefCell` so a save through `&self` can record that it wrote.
+#[derive(Debug, Default)]
+struct Log {
+    /// Journal records behind the file's commit line, while the file is
+    /// known to hold this store's log; `None` when the next write must
+    /// compact.
+    journal: Option<usize>,
+    /// Records changed since the last load or write.
+    dirty: usize,
+    /// Those records' log lines, rendered only while `journal` is known.
+    lines: String,
 }
 
 /// The persistent check cache: replayable check outcomes keyed by
@@ -373,31 +418,37 @@ impl<T: Table> Store<T> {
     }
 
     /// Loads the table from `dir`, degrading to an empty cold-start
-    /// table on *any* read, parse, schema, or checksum failure (a cache
-    /// must never turn into an error — the failure is recorded in
-    /// [`Store::load_outcome`] only).
+    /// table when the file is unreadable or its snapshot fails to verify
+    /// (a cache must never turn into an error — the failure is recorded
+    /// in [`Store::load_outcome`] only).
     pub fn load(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
-        let (load_outcome, table) = match read_table::<T>(&dir) {
-            Ok(Some(table)) => (LoadOutcome::Warm, table),
-            Ok(None) => (LoadOutcome::Cold, T::default()),
-            Err(reason) => (LoadOutcome::Recovered(reason), T::default()),
-        };
-        Store {
-            dir: Some(dir),
-            load_outcome,
-            table,
+        let mut store = Store::default();
+        match std::fs::read(dir.join(T::FILE)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(_) => store.load_outcome = LoadOutcome::Recovered("unreadable"),
+            Ok(bytes) => match read_log::<T>(&bytes) {
+                Ok((table, replayed, intact)) => {
+                    store.load_outcome = LoadOutcome::Warm;
+                    store.replayed = replayed;
+                    store.log.get_mut().journal = intact.then_some(replayed);
+                    store.table = table;
+                }
+                Err(reason) => store.load_outcome = LoadOutcome::Recovered(reason),
+            },
         }
+        store.dir = Some(dir);
+        store
     }
 
-    /// How the load went (checksum-verified, cold, or recovered from a
-    /// corrupt document).
+    /// How the load went (verified, cold, or recovered from a corrupt
+    /// file).
     pub fn load_outcome(&self) -> LoadOutcome {
         self.load_outcome
     }
 
-    /// The recovery reason, when the persistent document existed but
-    /// was discarded as corrupt.
+    /// The recovery reason, when the persistent file existed but was
+    /// discarded as corrupt.
     pub fn recovered_reason(&self) -> Option<&'static str> {
         match self.load_outcome {
             LoadOutcome::Recovered(reason) => Some(reason),
@@ -416,25 +467,51 @@ impl<T: Table> Store<T> {
         reason
     }
 
-    /// Renders the document (deterministic bytes, embedded content
-    /// checksum over the payload rendering). The payload is rendered
-    /// once: its bytes are checksummed and then written after the head.
-    pub fn to_json(&self) -> String {
-        let values = self.table.to_fields();
-        let fields: Vec<(&str, &Json)> = T::FIELDS.iter().copied().zip(&values).collect();
-        let payload = Json::render_fields(&fields);
-        let mut doc = document_head(T::SCHEMA, &checksum_hex(&payload));
-        doc.push_str(&payload[1..]);
-        doc
+    /// Journal records the load applied on top of the snapshot (after a
+    /// crash, the changes no compaction had folded in yet).
+    pub fn replayed(&self) -> usize {
+        self.replayed
     }
 
-    /// Writes the document back to its directory (creating it if
-    /// needed). Ephemeral stores are a no-op.
-    ///
-    /// The write is atomic: the document lands in a temp file first and
-    /// is `rename`d over [`Table::FILE`], so a crash mid-save leaves
-    /// either the previous document or the new one, never a torn
-    /// hybrid.
+    /// Records changed since the last load or write.
+    pub fn dirty(&self) -> usize {
+        self.log.borrow().dirty
+    }
+
+    /// Stores `record`, marking it for the next save when it changed the
+    /// table.
+    pub fn put(&mut self, record: T::Record) {
+        let log = self.log.get_mut();
+        let body = log
+            .journal
+            .is_some()
+            .then(|| T::encode(&record).render_compact());
+        if self.table.apply(record) {
+            log.dirty += 1;
+            if let Some(body) = body {
+                push_line(&mut log.lines, &body);
+            }
+        }
+    }
+
+    /// The table as one compacted snapshot: schema line, every live
+    /// record, commit line (deterministic bytes).
+    pub fn snapshot(&self) -> String {
+        let records = self.table.records();
+        let mut out = format!("{}\n", T::SCHEMA);
+        for record in &records {
+            push_line(&mut out, &record.render_compact());
+        }
+        let commit = Json::obj([("commit", Json::U64(records.len() as u64))]);
+        push_line(&mut out, &commit.render_compact());
+        out
+    }
+
+    /// Persists what changed since the last load or write (creating the
+    /// directory if needed): nothing when nothing changed, an append of
+    /// the changed records while the file is this store's log and the
+    /// journal stays within [`JOURNAL_FACTOR`] times the live records,
+    /// and a [`Store::compact`] otherwise. Ephemeral stores are a no-op.
     ///
     /// # Errors
     ///
@@ -443,11 +520,43 @@ impl<T: Table> Store<T> {
         let Some(dir) = &self.dir else {
             return Ok(());
         };
+        let mut log = self.log.borrow_mut();
+        if log.dirty == 0 {
+            return Ok(());
+        }
+        if let Some(journal) = log.journal {
+            let journal = journal + log.dirty;
+            if journal <= JOURNAL_FACTOR * self.table.live() {
+                let _lock = SaveLock::acquire(dir, T::FILE, 100, 5, LOCK_STALE_SECS);
+                if append(&dir.join(T::FILE), &log.lines).is_ok() {
+                    *log = Log {
+                        journal: Some(journal),
+                        ..Log::default()
+                    };
+                    return Ok(());
+                }
+            }
+        }
+        drop(log);
+        self.compact()
+    }
+
+    /// Writes the whole table as a fresh snapshot with an empty journal
+    /// (creating the directory if needed). Ephemeral stores are a no-op.
+    ///
+    /// The write is atomic: the snapshot lands in a temp file first and
+    /// is `rename`d over [`Table::FILE`], so a crash mid-write leaves
+    /// either the previous log or the new one, never a torn hybrid.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the directory or file cannot be written.
+    pub fn compact(&self) -> Result<(), String> {
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
-        // Serialize concurrent savers (daemon + batch invocations over
-        // one directory); on timeout proceed last-writer-wins — the
-        // atomic rename plus checksum keep every reader safe.
         let _lock = SaveLock::acquire(dir, T::FILE, 100, 5, LOCK_STALE_SECS);
         let path = dir.join(T::FILE);
         let tmp = dir.join(format!(
@@ -456,12 +565,25 @@ impl<T: Table> Store<T> {
             std::process::id(),
             std::ptr::from_ref(self) as usize
         ));
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("cannot commit cache `{}`: {e}", path.display())
-        })
+        let written = std::fs::write(&tmp, self.snapshot())
+            .map_err(|e| format!("cannot write cache temp `{}`: {e}", tmp.display()))
+            .and_then(|()| {
+                std::fs::rename(&tmp, &path).map_err(|e| {
+                    let _ = std::fs::remove_file(&tmp);
+                    format!("cannot commit cache `{}`: {e}", path.display())
+                })
+            });
+        let mut log = self.log.borrow_mut();
+        match &written {
+            Ok(()) => {
+                *log = Log {
+                    journal: Some(0),
+                    ..Log::default()
+                }
+            }
+            Err(_) => log.journal = None,
+        }
+        written
     }
 }
 
@@ -473,52 +595,71 @@ impl<T> Deref for Store<T> {
     }
 }
 
-impl<T> DerefMut for Store<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.table
-    }
+/// Appends `body`'s log line — checksum, space, body, newline — to `out`.
+fn push_line(out: &mut String, body: &str) {
+    out.push_str(&checksum_hex(body));
+    out.push(' ');
+    out.push_str(body);
+    out.push('\n');
 }
 
-/// Reads and verifies `dir`'s document for table `T`: `Ok(None)` when
-/// there is none, `Err(reason)` when it exists but is unusable.
-fn read_table<T: Table>(dir: &Path) -> Result<Option<T>, &'static str> {
-    let bytes = match std::fs::read(dir.join(T::FILE)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(_) => return Err("unreadable"),
-    };
-    decode_document(bytes).map(Some)
+/// Appends `lines` to the existing log at `path` with one write.
+fn append(path: &Path, lines: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)?
+        .write_all(lines.as_bytes())
 }
 
-/// Verifies and decodes a document's bytes; `Err(reason)` when they are
-/// unusable.
-fn decode_document<T: Table>(bytes: Vec<u8>) -> Result<T, &'static str> {
-    let text = String::from_utf8(bytes).map_err(|_| "invalid utf-8")?;
-    let Some(mut root @ Json::Obj(_)) = parse_json(&text) else {
-        return Err("malformed json");
-    };
-    if !matches!(root.take("schema"), Some(Json::Str(s)) if s == T::SCHEMA) {
-        return Err("schema mismatch");
-    }
-    let Some(Json::Str(stored_checksum)) = root.take("checksum") else {
-        return Err("missing checksum");
-    };
-    // Checksum the payload bytes as read: everything after the head,
-    // behind the opening brace the payload was rendered with. Any
-    // corrupted byte (a bit flip, a truncation that still parses, a torn
-    // write, even in whitespace or in the head) fails the comparison.
-    let payload = text
-        .strip_prefix(&document_head(T::SCHEMA, &stored_checksum))
-        .ok_or("checksum mismatch")?;
-    let checksum = fnv1a64(fnv1a64(FNV64_OFFSET, b"{"), payload.as_bytes());
-    if format!("{checksum:016x}") != stored_checksum {
+/// Reads one log line (with its newline): the record JSON, or why the
+/// line is unusable.
+fn read_line(line: &[u8]) -> Result<Json, &'static str> {
+    let line = line.strip_suffix(b"\n").ok_or("truncated")?;
+    let (sum, body) = line.split_at_checked(16).ok_or("checksum mismatch")?;
+    let body = body.strip_prefix(b" ").ok_or("checksum mismatch")?;
+    if sum != format!("{:016x}", fnv1a64(body)).as_bytes() {
         return Err("checksum mismatch");
     }
-    let values: Vec<Json> = T::FIELDS
-        .iter()
-        .map(|k| root.take(k).unwrap_or(Json::Obj(Vec::new())))
-        .collect();
-    Ok(T::from_fields(values))
+    std::str::from_utf8(body)
+        .ok()
+        .and_then(parse_json)
+        .ok_or("malformed record")
+}
+
+/// Reads table `T`'s log: the table, the journal records applied, and
+/// whether the journal was intact to the end. `Err(reason)` when the
+/// snapshot is unusable.
+fn read_log<T: Table>(bytes: &[u8]) -> Result<(T, usize, bool), &'static str> {
+    let mut lines = bytes.split_inclusive(|b| *b == b'\n');
+    let header = lines.next().and_then(|l| l.strip_suffix(b"\n"));
+    if header != Some(T::SCHEMA.as_bytes()) {
+        return Err("schema mismatch");
+    }
+    let mut table = T::default();
+    let mut count = 0u64;
+    loop {
+        let mut value = read_line(lines.next().ok_or("truncated")?)?;
+        if let Some(commit) = value.take("commit") {
+            if commit.as_u64() != Some(count) {
+                return Err("count mismatch");
+            }
+            break;
+        }
+        table.apply(T::decode(value).ok_or("malformed record")?);
+        count += 1;
+    }
+    let mut replayed = 0;
+    for line in lines {
+        match read_line(line).ok().and_then(T::decode) {
+            Some(record) => {
+                table.apply(record);
+                replayed += 1;
+            }
+            None => return Ok((table, replayed, false)),
+        }
+    }
+    Ok((table, replayed, true))
 }
 
 /// The check table: content-addressed outcomes plus the name →
@@ -527,51 +668,86 @@ fn decode_document<T: Table>(bytes: Vec<u8>) -> Result<T, &'static str> {
 pub struct CheckTable {
     entries: BTreeMap<String, CachedOutcome>,
     names: BTreeMap<String, String>,
-    /// When true, every mutation is mirrored into `dirty` as a WAL
-    /// record (see [`crate::wal`]); drained by [`CheckTable::take_dirty`].
-    log_dirty: bool,
-    dirty: Vec<crate::wal::WalRecord>,
+}
+
+/// One check-table record.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum CheckRecord {
+    /// An outcome stored under a fingerprint.
+    Entry {
+        /// Fingerprint hex key.
+        fp: String,
+        /// The cached outcome.
+        outcome: CachedOutcome,
+    },
+    /// A qualified function name moved to (or first appeared at) a
+    /// fingerprint.
+    Name {
+        /// Qualified function name.
+        name: String,
+        /// Fingerprint hex the name now maps to.
+        fp: String,
+    },
+}
+
+/// Stores `value` under `key`, returning whether the map changed — the
+/// [`Table::apply`] of a table keyed by strings.
+pub fn insert_changed<V: PartialEq>(map: &mut BTreeMap<String, V>, key: String, value: V) -> bool {
+    if map.get(&key) == Some(&value) {
+        return false;
+    }
+    map.insert(key, value);
+    true
+}
+
+fn entry_json(fp: &str, outcome: &CachedOutcome) -> Json {
+    Json::obj([("entry", Json::str(fp)), ("outcome", outcome.to_json())])
+}
+
+fn name_json(name: &str, fp: &str) -> Json {
+    Json::obj([("name", Json::str(name)), ("fp", Json::str(fp))])
 }
 
 impl Table for CheckTable {
     const FILE: &'static str = "check-cache.json";
-    const SCHEMA: &'static str = "fearless-incr-cache/2";
-    const FIELDS: &'static [&'static str] = &["entries", "names"];
+    const SCHEMA: &'static str = "fearless-incr-cache/3";
+    type Record = CheckRecord;
 
-    fn to_fields(&self) -> Vec<Json> {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_json()))
-            .collect();
-        let names = self
-            .names
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-            .collect();
-        vec![Json::Obj(entries), Json::Obj(names)]
+    fn encode(record: &CheckRecord) -> Json {
+        match record {
+            CheckRecord::Entry { fp, outcome } => entry_json(fp, outcome),
+            CheckRecord::Name { name, fp } => name_json(name, fp),
+        }
     }
 
-    fn from_fields(fields: Vec<Json>) -> Self {
-        let mut table = CheckTable::default();
-        let mut fields = fields.into_iter();
-        if let Some(Json::Obj(entries)) = fields.next() {
-            for (fp, v) in entries {
-                if Fingerprint::from_hex(&fp).is_some() {
-                    if let Some(outcome) = CachedOutcome::from_json(v) {
-                        table.entries.insert(fp, outcome);
-                    }
-                }
-            }
+    fn decode(mut value: Json) -> Option<CheckRecord> {
+        let record = match (value.take("entry"), value.take("name"), value.take("fp")) {
+            (Some(Json::Str(fp)), None, None) => CheckRecord::Entry {
+                outcome: CachedOutcome::from_json(value.take("outcome")?)?,
+                fp,
+            },
+            (None, Some(Json::Str(name)), Some(Json::Str(fp))) => CheckRecord::Name { name, fp },
+            _ => return None,
+        };
+        let (CheckRecord::Entry { fp, .. } | CheckRecord::Name { fp, .. }) = &record;
+        Fingerprint::from_hex(fp).map(|_| record)
+    }
+
+    fn apply(&mut self, record: CheckRecord) -> bool {
+        match record {
+            CheckRecord::Entry { fp, outcome } => insert_changed(&mut self.entries, fp, outcome),
+            CheckRecord::Name { name, fp } => insert_changed(&mut self.names, name, fp),
         }
-        if let Some(Json::Obj(names)) = fields.next() {
-            for (name, v) in names {
-                if let Json::Str(fp) = v {
-                    table.names.insert(name, fp);
-                }
-            }
-        }
-        table
+    }
+
+    fn records(&self) -> Vec<Json> {
+        let entries = self.entries.iter().map(|(fp, o)| entry_json(fp, o));
+        let names = self.names.iter().map(|(name, fp)| name_json(name, fp));
+        entries.chain(names).collect()
+    }
+
+    fn live(&self) -> usize {
+        self.entries.len() + self.names.len()
     }
 }
 
@@ -590,80 +766,32 @@ impl CheckTable {
     pub fn lookup(&self, fp: Fingerprint) -> Option<&CachedOutcome> {
         self.entries.get(&fp.to_hex())
     }
+}
 
+impl Store<CheckTable> {
     /// Stores an outcome under `fp`.
     pub fn insert(&mut self, fp: Fingerprint, outcome: CachedOutcome) {
-        let hex = fp.to_hex();
-        if self.log_dirty {
-            self.dirty.push(crate::wal::WalRecord::Entry {
-                fp: hex.clone(),
-                outcome: outcome.clone(),
-            });
-        }
-        self.entries.insert(hex, outcome);
+        self.put(CheckRecord::Entry {
+            fp: fp.to_hex(),
+            outcome,
+        });
     }
 
     /// Records the fingerprint now current for a qualified function
     /// name, returning `true` when this *changed* an existing record (an
-    /// invalidation).
+    /// invalidation). Re-noting a stable name changes nothing, so a warm
+    /// run leaves nothing to save.
     pub fn note_name(&mut self, qualified: &str, fp: Fingerprint) -> bool {
-        let hex = fp.to_hex();
+        let fp = fp.to_hex();
         let prev = self.names.get(qualified);
-        let invalidated = prev.is_some_and(|prev| prev != &hex);
-        // Only *moves* (new name, or a fingerprint change) are logged:
-        // re-noting a stable name on every warm hit would grow the WAL
-        // without changing the recoverable state.
-        if self.log_dirty && prev != Some(&hex) {
-            self.dirty.push(crate::wal::WalRecord::Name {
+        let invalidated = prev.is_some_and(|prev| *prev != fp);
+        if prev != Some(&fp) {
+            self.put(CheckRecord::Name {
                 name: qualified.to_string(),
-                fp: hex.clone(),
+                fp,
             });
         }
-        self.names.insert(qualified.to_string(), hex);
         invalidated
-    }
-
-    /// Turns on the dirty log: from now on every [`CheckTable::insert`]
-    /// and name move is mirrored as a [`crate::wal::WalRecord`] for a
-    /// write-ahead journal, retrievable via [`CheckTable::take_dirty`].
-    pub fn enable_dirty_log(&mut self) {
-        self.log_dirty = true;
-    }
-
-    /// Drains the WAL records accumulated since the last call.
-    pub fn take_dirty(&mut self) -> Vec<crate::wal::WalRecord> {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// Applies replayed WAL records directly (bypassing the dirty log),
-    /// returning how many actually changed the table. Records with
-    /// malformed fingerprints are skipped — replay must degrade, never
-    /// error.
-    pub fn apply_wal(&mut self, records: &[crate::wal::WalRecord]) -> usize {
-        let mut applied = 0usize;
-        for rec in records {
-            match rec {
-                crate::wal::WalRecord::Entry { fp, outcome } => {
-                    if Fingerprint::from_hex(fp).is_none() {
-                        continue;
-                    }
-                    if self.entries.get(fp) != Some(outcome) {
-                        self.entries.insert(fp.clone(), outcome.clone());
-                        applied += 1;
-                    }
-                }
-                crate::wal::WalRecord::Name { name, fp } => {
-                    if Fingerprint::from_hex(fp).is_none() {
-                        continue;
-                    }
-                    if self.names.get(name) != Some(fp) {
-                        self.names.insert(name.clone(), fp.clone());
-                        applied += 1;
-                    }
-                }
-            }
-        }
-        applied
     }
 }
 
@@ -675,14 +803,26 @@ mod tests {
     /// The check table's advisory lock file.
     const LOCK: &str = "check-cache.lock";
 
+    fn fp(n: u32) -> Fingerprint {
+        Fingerprint::from_hex(&format!("{n:032x}")).unwrap()
+    }
+
+    fn ok_outcome(nodes: u64) -> CachedOutcome {
+        CachedOutcome::Ok {
+            nodes,
+            vir_steps: 1,
+            search_nodes: 0,
+            counters: BTreeMap::new(),
+        }
+    }
+
     fn sample() -> DiskCache {
         let mut c = DiskCache::ephemeral();
-        let fp = Fingerprint::from_hex("00000000000000000000000000000abc").unwrap();
         let mut counters = BTreeMap::new();
         counters.insert("check.deriv_nodes".to_string(), 7);
         counters.insert("vir.focus".to_string(), 2);
         c.insert(
-            fp,
+            fp(0xabc),
             CachedOutcome::Ok {
                 nodes: 7,
                 vir_steps: 2,
@@ -690,48 +830,101 @@ mod tests {
                 counters,
             },
         );
-        let fp2 = Fingerprint::from_hex("00000000000000000000000000000def").unwrap();
         c.insert(
-            fp2,
+            fp(0xdef),
             CachedOutcome::Err {
                 message: "cannot \"unify\"\nbranches".to_string(),
                 span_lo: 3,
                 span_hi: 9,
             },
         );
-        c.note_name("prog/f", fp);
-        c.note_name("prog/g", fp2);
+        c.note_name("prog/f", fp(0xabc));
+        c.note_name("prog/g", fp(0xdef));
         c
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("fearless-incr-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Writes the sample into a fresh temp dir and returns the dir.
+    fn saved_dir(tag: &str) -> PathBuf {
+        let dir = scratch(tag);
+        let mut c = sample();
+        c.dir = Some(dir.clone());
+        c.save().unwrap();
+        dir
+    }
+
+    fn log_text(dir: &Path) -> String {
+        std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap()
+    }
+
+    /// Asserts a corrupted log degrades to a cold start with the given
+    /// recovery reason, then cleans up.
+    fn assert_recovers(dir: &Path, reason: &str) {
+        let loaded = DiskCache::load(dir);
+        assert!(loaded.is_empty(), "corrupt cache must be empty");
+        assert_eq!(
+            loaded.recovered_reason(),
+            Some(reason),
+            "load outcome was {:?}",
+            loaded.load_outcome()
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn json_roundtrip_preserves_everything() {
-        let c = sample();
-        let text = c.to_json();
-        let parsed = parse_json(&text).expect("parses");
-        // Re-render: byte identity proves the parser inverted the
-        // renderer exactly.
-        assert_eq!(parsed.render(), text);
+        let text = sample().snapshot();
+        for line in text.lines().skip(1) {
+            let (_, body) = line.split_once(' ').unwrap();
+            // Re-render: byte identity proves the parser inverted the
+            // renderer exactly.
+            assert_eq!(parse_json(body).expect("parses").render_compact(), body);
+        }
+        let table: CheckTable = read_log(text.as_bytes()).unwrap().0;
+        assert_eq!(table.entries, sample().entries);
+        assert_eq!(table.names, sample().names);
     }
 
     #[test]
     fn every_flipped_bit_is_a_recovery() {
-        let doc = sample().to_json().into_bytes();
-        assert!(decode_document::<CheckTable>(doc.clone()).is_ok());
+        let doc = sample().snapshot().into_bytes();
+        assert!(read_log::<CheckTable>(&doc).is_ok());
         for at in 0..doc.len() {
             for bit in 0..8 {
                 let mut damaged = doc.clone();
                 damaged[at] ^= 1 << bit;
                 assert!(
-                    decode_document::<CheckTable>(damaged).is_err(),
+                    read_log::<CheckTable>(&damaged).is_err(),
                     "flipping bit {bit} of byte {at} still loads"
                 );
             }
         }
     }
 
-    // Every cache document loads through `parse_json`: the tests below
-    // pin the grammar the loader relies on to reject torn documents.
+    #[test]
+    fn truncation_at_every_line_boundary_recovers() {
+        // The commit line is what tells a complete snapshot from a
+        // prefix of one: a log cut after any line but the last lacks it.
+        let doc = sample().snapshot();
+        let mut cut = 0;
+        for line in doc.split_inclusive('\n') {
+            assert!(
+                read_log::<CheckTable>(&doc.as_bytes()[..cut]).is_err(),
+                "a log cut at byte {cut} still loads"
+            );
+            cut += line.len();
+        }
+        assert_eq!(cut, doc.len());
+        assert!(read_log::<CheckTable>(doc.as_bytes()).is_ok());
+    }
+
+    // Every cache log loads through `parse_json`: the tests below pin
+    // the grammar the loader relies on to reject damaged records.
     #[test]
     fn renderer_grammar_parses() {
         let v = parse_json("{\"a\": [1, {\"b\": []}], \"c\": {}, \"d\": \"x\\u0001y\"}").unwrap();
@@ -790,16 +983,12 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("fearless-incr-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut c = sample();
-        c.dir = Some(dir.clone());
-        c.save().unwrap();
+        let dir = saved_dir("roundtrip");
         let loaded = DiskCache::load(&dir);
-        assert_eq!(loaded.to_json(), c.to_json());
-        let fp = Fingerprint::from_hex("00000000000000000000000000000abc").unwrap();
+        assert_eq!(loaded.snapshot(), sample().snapshot());
+        assert_eq!(log_text(&dir), sample().snapshot());
         assert!(matches!(
-            loaded.lookup(fp),
+            loaded.lookup(fp(0xabc)),
             Some(CachedOutcome::Ok { nodes: 7, .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -807,44 +996,14 @@ mod tests {
 
     #[test]
     fn missing_or_corrupt_degrades_to_empty() {
-        let dir =
-            std::env::temp_dir().join(format!("fearless-incr-missing-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("missing");
         assert!(DiskCache::load(&dir).is_empty());
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(CACHE_FILE), "{ not json").unwrap();
         assert!(DiskCache::load(&dir).is_empty());
-        std::fs::write(
-            dir.join(CACHE_FILE),
-            "{\n  \"schema\": \"some-other/9\",\n  \"entries\": {}\n}\n",
-        )
-        .unwrap();
+        std::fs::write(dir.join(CACHE_FILE), "some-other/9\n").unwrap();
         assert!(DiskCache::load(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Writes `c` into a fresh temp dir and returns the dir.
-    fn saved_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fearless-incr-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut c = sample();
-        c.dir = Some(dir.clone());
-        c.save().unwrap();
-        dir
-    }
-
-    /// Asserts a corrupted document degrades to a cold start with the
-    /// given recovery reason, then cleans up.
-    fn assert_recovers(dir: &Path, reason: &str) {
-        let loaded = DiskCache::load(dir);
-        assert!(loaded.is_empty(), "corrupt cache must be empty");
-        assert_eq!(
-            loaded.recovered_reason(),
-            Some(reason),
-            "load outcome was {:?}",
-            loaded.load_outcome()
-        );
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -875,7 +1034,7 @@ mod tests {
     fn contended_save_proceeds_last_writer_wins() {
         let dir = saved_dir("lock-contended");
         // A fresh lock held by "another process" that never releases:
-        // acquire times out unheld, and save still writes the document.
+        // acquire times out unheld, and save still writes the log.
         std::fs::write(dir.join(LOCK), "99999").unwrap();
         let lock = SaveLock::acquire(&dir, CACHE_FILE, 2, 1, LOCK_STALE_SECS);
         assert!(!lock.held, "a live lock must not be stolen");
@@ -898,63 +1057,56 @@ mod tests {
         assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
         assert_eq!(loaded.recovered_reason(), None);
         assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.replayed(), 0, "a compacted log has no journal");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_file_is_cold_not_recovered() {
-        let dir = std::env::temp_dir().join(format!("fearless-incr-cold-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("cold");
         let loaded = DiskCache::load(&dir);
         assert!(loaded.is_empty());
         assert_eq!(loaded.load_outcome(), LoadOutcome::Cold);
+        assert_eq!(loaded.replayed(), 0);
     }
 
     #[test]
     fn truncated_document_recovers() {
         let dir = saved_dir("trunc");
-        let path = dir.join(CACHE_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert_recovers(&dir, "malformed json");
+        let text = log_text(&dir);
+        std::fs::write(dir.join(CACHE_FILE), &text[..text.len() / 2]).unwrap();
+        assert_recovers(&dir, "truncated");
     }
 
     #[test]
     fn bit_flip_in_payload_fails_checksum() {
         let dir = saved_dir("flip");
-        let path = dir.join(CACHE_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Flip a digit inside a stored value: the document still
-        // parses, so only the checksum catches it.
+        let text = log_text(&dir);
+        // Flip a digit inside a stored value: the record still parses,
+        // so only the checksum catches it.
         let flipped = text.replace("\"nodes\": 7", "\"nodes\": 8");
         assert_ne!(flipped, text, "payload digit present");
-        std::fs::write(&path, flipped).unwrap();
+        std::fs::write(dir.join(CACHE_FILE), flipped).unwrap();
         assert_recovers(&dir, "checksum mismatch");
     }
 
     #[test]
     fn torn_write_tail_recovers() {
-        // Simulate a torn write: the first half of the new document
-        // followed by the tail of a different (older) one — parseable
-        // prefixes of torn files are exactly what the checksum exists
-        // to reject.
+        // A torn write: the first half of the new log followed by the
+        // tail of something else. The half-line fails its checksum.
         let dir = saved_dir("torn");
-        let path = dir.join(CACHE_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = log_text(&dir);
         let mut torn = text[..text.len() / 2].to_string();
-        torn.push_str("garbage-tail\u{0}\u{0}\u{0}");
-        std::fs::write(&path, torn).unwrap();
-        assert_recovers(&dir, "malformed json");
+        torn.push_str("garbage-tail\u{0}\u{0}\u{0}\n");
+        std::fs::write(dir.join(CACHE_FILE), torn).unwrap();
+        assert_recovers(&dir, "checksum mismatch");
     }
 
     #[test]
     fn schema_version_bump_recovers() {
         let dir = saved_dir("schema");
-        let path = dir.join(CACHE_FILE);
-        let text = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace(CheckTable::SCHEMA, "fearless-incr-cache/1");
-        std::fs::write(&path, text).unwrap();
+        let text = log_text(&dir).replace(CheckTable::SCHEMA, "fearless-incr-cache/1");
+        std::fs::write(dir.join(CACHE_FILE), text).unwrap();
         assert_recovers(&dir, "schema mismatch");
     }
 
@@ -962,23 +1114,44 @@ mod tests {
     fn invalid_utf8_recovers() {
         let dir = saved_dir("utf8");
         std::fs::write(dir.join(CACHE_FILE), [0xff, 0xfe, b'{', b'}']).unwrap();
-        assert_recovers(&dir, "invalid utf-8");
+        assert_recovers(&dir, "schema mismatch");
+        // A record line whose checksum matches bytes that are not UTF-8.
+        let dir = saved_dir("utf8-record");
+        let body = [0xffu8, 0xfe];
+        let mut bytes = format!("{}\n{:016x} ", CheckTable::SCHEMA, fnv1a64(&body)).into_bytes();
+        bytes.extend_from_slice(&body);
+        bytes.push(b'\n');
+        std::fs::write(dir.join(CACHE_FILE), bytes).unwrap();
+        assert_recovers(&dir, "malformed record");
     }
 
     #[test]
     fn missing_checksum_field_recovers() {
         let dir = saved_dir("nochk");
-        let path = dir.join(CACHE_FILE);
-        // Strip the checksum line but keep valid JSON + schema.
+        // A record line without its checksum, but valid JSON.
+        let body = name_json("prog/f", &fp(1).to_hex()).render_compact();
         std::fs::write(
-            &path,
-            format!(
-                "{{\n  \"schema\": \"{}\",\n  \"entries\": {{}},\n  \"names\": {{}}\n}}",
-                CheckTable::SCHEMA
-            ),
+            dir.join(CACHE_FILE),
+            format!("{}\n{body}\n", CheckTable::SCHEMA),
         )
         .unwrap();
-        assert_recovers(&dir, "missing checksum");
+        assert_recovers(&dir, "checksum mismatch");
+    }
+
+    #[test]
+    fn wrong_commit_count_recovers() {
+        let dir = saved_dir("count");
+        let text = log_text(&dir);
+        let commit = |n: u64| {
+            let mut line = String::new();
+            push_line(
+                &mut line,
+                &Json::obj([("commit", Json::U64(n))]).render_compact(),
+            );
+            line
+        };
+        std::fs::write(dir.join(CACHE_FILE), text.replace(&commit(4), &commit(3))).unwrap();
+        assert_recovers(&dir, "count mismatch");
     }
 
     #[test]
@@ -1033,60 +1206,186 @@ mod tests {
 
     #[test]
     fn dirty_log_mirrors_inserts_and_name_moves() {
-        use crate::wal::WalRecord;
-        let mut c = DiskCache::ephemeral();
-        let a = Fingerprint::from_hex("00000000000000000000000000000001").unwrap();
-        let b = Fingerprint::from_hex("00000000000000000000000000000002").unwrap();
-        // Mutations before the log is enabled are not recorded.
-        c.insert(
-            a,
-            CachedOutcome::Err {
-                message: "pre".to_string(),
-                span_lo: 0,
-                span_hi: 1,
-            },
-        );
-        c.enable_dirty_log();
-        assert!(c.take_dirty().is_empty());
-        c.insert(
-            b,
-            CachedOutcome::Ok {
-                nodes: 3,
-                vir_steps: 1,
-                search_nodes: 0,
-                counters: BTreeMap::new(),
-            },
-        );
-        c.note_name("p/f", b);
-        c.note_name("p/f", b); // stable re-note: not logged
-        let dirty = c.take_dirty();
-        assert_eq!(dirty.len(), 2, "{dirty:?}");
-        assert!(matches!(&dirty[0], WalRecord::Entry { fp, .. } if fp == &b.to_hex()));
-        assert!(
-            matches!(&dirty[1], WalRecord::Name { name, fp } if name == "p/f" && fp == &b.to_hex())
-        );
-        assert!(c.take_dirty().is_empty(), "take_dirty drains");
+        let dir = saved_dir("dirty");
+        let before = log_text(&dir);
+        let mut c = DiskCache::load(&dir);
+        assert_eq!(c.dirty(), 0);
+        // Re-storing what the table holds changes nothing.
+        c.note_name("prog/f", fp(0xabc));
+        c.insert(fp(0xabc), sample().lookup(fp(0xabc)).unwrap().clone());
+        assert_eq!(c.dirty(), 0);
+        c.save().unwrap();
+        assert_eq!(log_text(&dir), before, "a clean save writes nothing");
+        c.insert(fp(2), ok_outcome(3));
+        c.note_name("prog/f", fp(2));
+        c.note_name("prog/f", fp(2)); // stable re-note: not dirty
+        assert_eq!(c.dirty(), 2);
+        c.save().unwrap();
+        assert_eq!(c.dirty(), 0, "a save clears the dirty records");
+        // The save appended exactly the two changed records.
+        let after = log_text(&dir);
+        let journal: Vec<&str> = after.strip_prefix(&before).unwrap().lines().collect();
+        assert_eq!(journal.len(), 2, "{journal:?}");
+        assert!(journal[0].ends_with(&entry_json(&fp(2).to_hex(), &ok_outcome(3)).render_compact()));
+        assert!(journal[1].ends_with(&name_json("prog/f", &fp(2).to_hex()).render_compact()));
+        let loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.replayed(), 2);
+        assert_eq!(loaded.snapshot(), c.snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Replaying the records into a fresh cache reproduces the state.
-        let mut fresh = DiskCache::ephemeral();
-        assert_eq!(fresh.apply_wal(&dirty), 2);
-        assert_eq!(fresh.apply_wal(&dirty), 0, "replay is idempotent");
+    #[test]
+    fn append_replay_roundtrip() {
+        // Journal appends from several saves (and several stores) replay
+        // in order on top of the snapshot.
+        let dir = saved_dir("append");
+        let mut c = DiskCache::load(&dir);
+        c.insert(fp(1), ok_outcome(1));
+        c.save().unwrap();
+        c.note_name("prog/f", fp(1));
+        c.save().unwrap();
+        let mut other = DiskCache::load(&dir);
+        assert_eq!(other.replayed(), 2);
+        other.note_name("prog/f", fp(0xabc));
+        other.save().unwrap();
+        let loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
+        assert_eq!(loaded.replayed(), 3);
+        assert_eq!(loaded.snapshot(), other.snapshot());
+        assert_eq!(
+            loaded.names["prog/f"],
+            fp(0xabc).to_hex(),
+            "last write wins"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_file_is_an_empty_journal() {
+        // A cold store's first save is a snapshot, never a journal.
+        let dir = scratch("first-save");
+        let mut c = DiskCache::load(&dir);
+        c.insert(fp(1), ok_outcome(1));
+        c.save().unwrap();
+        assert_eq!(log_text(&dir), c.snapshot());
+        assert_eq!(DiskCache::load(&dir).replayed(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sample's log plus a two-record journal, in `dir`.
+    fn journaled_dir(tag: &str) -> (PathBuf, DiskCache) {
+        let dir = saved_dir(tag);
+        let mut c = DiskCache::load(&dir);
+        c.insert(fp(1), ok_outcome(1));
+        c.insert(fp(2), ok_outcome(2));
+        c.save().unwrap();
+        (dir, c)
+    }
+
+    #[test]
+    fn torn_tail_keeps_the_prefix() {
+        let (dir, full) = journaled_dir("torn-tail");
+        let text = log_text(&dir);
+        // Crash mid-append: the last line cut off partway through.
+        let last = text.trim_end().rsplit_once('\n').unwrap().0.len() + 1;
+        let cut = &text[..last + (text.len() - last) / 2];
+        std::fs::write(dir.join(CACHE_FILE), cut).unwrap();
+        let mut loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.load_outcome(), LoadOutcome::Warm, "no recovery");
+        assert_eq!(loaded.replayed(), 1, "the intact prefix survives");
+        assert!(loaded.lookup(fp(1)).is_some() && loaded.lookup(fp(2)).is_none());
+        // The next save compacts rather than append behind the tear.
+        loaded.insert(fp(2), ok_outcome(2));
+        loaded.save().unwrap();
+        assert_eq!(log_text(&dir), full.snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bit_flip_fails_the_line_checksum() {
+        let (dir, _) = journaled_dir("journal-flip");
+        let text = log_text(&dir);
+        // Flip a digit inside the *first* journal record: the line still
+        // parses, so only its checksum catches it, and replay stops there.
+        let at = text.find("\"nodes\": 1,").unwrap();
+        let flipped = format!("{}\"nodes\": 3,{}", &text[..at], &text[at + 11..]);
+        std::fs::write(dir.join(CACHE_FILE), flipped).unwrap();
+        let loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
+        assert_eq!(loaded.replayed(), 0, "replay stops at the flip");
+        assert_eq!(loaded.snapshot(), sample().snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bad_header_discards_everything() {
+        let (dir, _) = journaled_dir("journal-header");
+        let text = log_text(&dir).replace(CheckTable::SCHEMA, "fearless-incr-cache/9");
+        std::fs::write(dir.join(CACHE_FILE), text).unwrap();
+        assert_recovers(&dir, "schema mismatch");
+    }
+
+    #[test]
+    fn compact_leaves_an_empty_journal() {
+        let (dir, c) = journaled_dir("compact");
+        c.compact().unwrap();
+        assert_eq!(log_text(&dir), c.snapshot());
+        let loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.replayed(), 0);
+        assert_eq!(loaded.len(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_replay_fills_the_table() {
+        // Journal records decode and apply through the same reader as
+        // the snapshot's.
+        let (dir, _) = journaled_dir("journal-apply");
+        let loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.replayed(), 2);
+        assert_eq!(loaded.len(), 4);
         assert!(matches!(
-            fresh.lookup(b),
-            Some(CachedOutcome::Ok { nodes: 3, .. })
+            loaded.lookup(fp(2)),
+            Some(CachedOutcome::Ok { nodes: 2, .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_past_the_journal_bound_compact() {
+        let dir = saved_dir("bound");
+        let mut c = DiskCache::load(&dir);
+        let live = c.live();
+        // Move one name back and forth: the table stays the same size
+        // while the journal grows.
+        let mut appended = 0;
+        for round in 0..JOURNAL_FACTOR * live + 3 {
+            let target = if round % 2 == 0 { 0xdef } else { 0xabc };
+            c.note_name("prog/f", fp(target));
+            c.save().unwrap();
+            appended += 1;
+            let journal = DiskCache::load(&dir).replayed();
+            if appended <= JOURNAL_FACTOR * live {
+                assert_eq!(journal, appended, "round {round} appends");
+            } else {
+                assert_eq!(journal, 0, "round {round} compacts");
+                appended = 0;
+            }
+        }
+        let loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
+        assert_eq!(loaded.snapshot(), c.snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn note_name_counts_moves_only() {
         let mut c = DiskCache::ephemeral();
-        let a = Fingerprint::from_hex("00000000000000000000000000000001").unwrap();
-        let b = Fingerprint::from_hex("00000000000000000000000000000002").unwrap();
         assert!(
-            !c.note_name("p/f", a),
+            !c.note_name("p/f", fp(1)),
             "first sighting is not an invalidation"
         );
-        assert!(!c.note_name("p/f", a), "same fingerprint is stable");
-        assert!(c.note_name("p/f", b), "moved fingerprint invalidates");
+        assert!(!c.note_name("p/f", fp(1)), "same fingerprint is stable");
+        assert!(c.note_name("p/f", fp(2)), "moved fingerprint invalidates");
     }
 }

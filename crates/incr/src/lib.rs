@@ -9,12 +9,13 @@
 //! workload — a file's functions, or the whole corpus — is
 //! embarrassingly parallel. This crate exploits both:
 //!
-//! * [`disk::Store`] — the one on-disk fingerprint store: a
-//!   deterministic, checksummed, atomically saved JSON document per
-//!   typed [`disk::Table`]. Its check table, [`DiskCache`], holds
-//!   per-function check summaries keyed by fingerprint, carrying enough
-//!   (verdict, derivation shape, span counters) to replay reports,
-//!   diagnostics, and `--metrics json` spans byte-for-byte; FA002's
+//! * [`disk::Store`] — the one on-disk fingerprint store: an
+//!   append-only log of checksummed JSON records per typed
+//!   [`disk::Table`], compacted by an atomic snapshot. Its check table,
+//!   [`DiskCache`], holds per-function check summaries keyed by
+//!   fingerprint, carrying enough (verdict, derivation shape, span
+//!   counters) to replay reports, diagnostics, and `--metrics json`
+//!   spans byte-for-byte; FA002's
 //!   probes, `fearlessc check --cache`, and the daemon all answer from
 //!   it. `fearless-flow` keeps its flow summaries in a second table.
 //! * [`sched`] — chunks the misses, in definition order, into batches
@@ -33,7 +34,6 @@
 pub mod disk;
 pub mod pool;
 pub mod sched;
-pub mod wal;
 
 use fearless_core::env::Globals;
 use fearless_core::{check, CheckerOptions, Fingerprint, TypeError};
@@ -41,10 +41,9 @@ use fearless_syntax::{Program, Span};
 use fearless_trace::{MemorySink, Tracer};
 
 pub use disk::{checksum_hex, CachedOutcome, CheckTable, DiskCache, LoadOutcome, Store, Table};
-/// The reader the cache documents are loaded with; `perfbench` calls it
+/// The reader the cache logs are loaded with; `perfbench` calls it
 /// through this path.
 pub use fearless_trace::parse_json;
-pub use wal::{CacheWal, WalRecord, WalReplay};
 
 /// Every counter name a `check` span can carry, used to re-intern
 /// counters parsed back from the on-disk cache as the `&'static str`
@@ -487,10 +486,11 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(disk::CACHE_FILE), "{ torn mid-wri").unwrap();
+        let torn = format!("{}\n0123456789abcdef {{\"entry\": \"00", CheckTable::SCHEMA);
+        std::fs::write(dir.join(disk::CACHE_FILE), torn).unwrap();
 
         let mut corrupt = DiskCache::load(&dir);
-        assert_eq!(corrupt.recovered_reason(), Some("malformed json"));
+        assert_eq!(corrupt.recovered_reason(), Some("truncated"));
         let recovered = check_units(&units(), &opts, 1, Some(&mut corrupt), &mut Tracer::off());
 
         let mut cold = DiskCache::ephemeral();
@@ -535,6 +535,98 @@ mod tests {
         assert_eq!((run.stats.hits, run.stats.misses), (0, 2));
         assert_eq!(run.units, cold.units);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_schema_2_document_is_one_counted_cold_recovery() {
+        // The one-document format before the record log: a checksummed,
+        // pretty-printed object. It must load as exactly one recovery.
+        let opts = CheckerOptions::default();
+        let dir =
+            std::env::temp_dir().join(format!("fearless-incr-schema-2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old =
+            "{\n  \"schema\": \"fearless-incr-cache/2\",\n  \"checksum\": \"5d0c1e8a9b7f3e21\",\
+                   \n  \"entries\": {\n    \"0000000000000000000000000000abcd\": {\n      \
+                   \"ok\": true,\n      \"nodes\": 3,\n      \"vir_steps\": 0,\n      \
+                   \"search_nodes\": 0,\n      \"counters\": {}\n    }\n  },\n  \"names\": {\n    \
+                   \":make\": \"0000000000000000000000000000abcd\"\n  }\n}\n";
+        std::fs::write(dir.join(disk::CACHE_FILE), old).unwrap();
+        let mut loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.recovered_reason(), Some("schema mismatch"));
+        let run = check_units(&units(), &opts, 1, Some(&mut loaded), &mut Tracer::off());
+        assert_eq!(run.stats.recoveries, 1);
+        assert_eq!((run.stats.hits, run.stats.misses), (0, 2));
+        let mut ephemeral = DiskCache::ephemeral();
+        let cold = check_units(&units(), &opts, 1, Some(&mut ephemeral), &mut Tracer::off());
+        assert_eq!(run.units, cold.units);
+        // The save replaces the old document with a record log.
+        loaded.save().unwrap();
+        assert_eq!(DiskCache::load(&dir).load_outcome(), LoadOutcome::Warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_journal_keeps_its_prefix_and_matches_a_cold_run() {
+        let opts = CheckerOptions::default();
+        let edited = || {
+            let src = SRC.replace("{ d.value }", "{ d.value + 1 }");
+            vec![(String::new(), parse_program(&src).unwrap())]
+        };
+        let mut ephemeral = DiskCache::ephemeral();
+        let cold = check_units(
+            &edited(),
+            &opts,
+            1,
+            Some(&mut ephemeral),
+            &mut Tracer::off(),
+        );
+        let tag = |d: &str| {
+            std::env::temp_dir().join(format!("fearless-incr-journal-{d}-{}", std::process::id()))
+        };
+        // Each damage keeps the snapshot and this many journal records.
+        type Damage = fn(&str) -> String;
+        let damages: [(&str, Damage, usize); 2] = [
+            ("torn", |t| t[..t.len() - 9].to_string(), 1),
+            ("flip", |t| t.replacen(":get", ":gex", 1), 0),
+        ];
+        for (name, damage, kept) in damages {
+            let dir = tag(name);
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cache = DiskCache::load(&dir);
+            check_units(&units(), &opts, 1, Some(&mut cache), &mut Tracer::off());
+            cache.save().unwrap();
+            let snapshot_len = std::fs::read(dir.join(disk::CACHE_FILE)).unwrap().len();
+            let mut cache = DiskCache::load(&dir);
+            let run = check_units(&edited(), &opts, 1, Some(&mut cache), &mut Tracer::off());
+            assert_eq!((run.stats.misses, run.stats.invalidations), (1, 1));
+            cache.save().unwrap();
+            let path = dir.join(disk::CACHE_FILE);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (snapshot, journal) = text.split_at(snapshot_len);
+            assert_eq!(
+                journal.lines().count(),
+                2,
+                "{name}: an entry and a name move"
+            );
+            std::fs::write(&path, format!("{snapshot}{}", damage(journal))).unwrap();
+
+            let mut loaded = DiskCache::load(&dir);
+            assert_eq!(loaded.load_outcome(), LoadOutcome::Warm, "{name}");
+            assert_eq!(loaded.replayed(), kept, "{name}");
+            let run = check_units(&edited(), &opts, 1, Some(&mut loaded), &mut Tracer::off());
+            assert_eq!(
+                run.stats.recoveries, 0,
+                "{name}: a torn journal is no recovery"
+            );
+            let mut units = run.units;
+            for f in units.iter_mut().flat_map(|u| &mut u.functions) {
+                f.cache_hit = false;
+            }
+            assert_eq!(units, cold.units, "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

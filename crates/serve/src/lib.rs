@@ -5,8 +5,8 @@
 //! listens on a unix socket, speaks the length-prefixed JSON protocol
 //! `fearless-serve/1` ([`protocol`]), keeps the incremental checker's
 //! fingerprint cache hot in memory across requests (seeded from the
-//! on-disk [`fearless_incr::disk::DiskCache`], written back on
-//! shutdown), and dispatches `check` / `lint` / `flow` / `profile`
+//! on-disk [`fearless_incr::disk::DiskCache`], appended to as it
+//! changes and compacted on shutdown), and dispatches `check` / `lint` / `flow` / `profile`
 //! requests through the existing batched driver.
 //!
 //! Three service-level behaviours distinguish a daemon from a CLI in a
@@ -34,10 +34,10 @@
 //! (see `docs/GUARD.md`): workers run each request under
 //! `catch_unwind` and are restarted by a supervisor when a request
 //! panics (the request is retried once, then quarantined to a
-//! memoized code 70); every fingerprint-cache mutation is journaled to
-//! a checksummed write-ahead log so a `kill -9` loses at most in-flight
-//! entries and a restart replays the WAL into byte-identical
-//! responses; requests may carry a deterministic *logical* deadline
+//! memoized code 70); every fingerprint-cache change is appended to
+//! the cache's checksummed record log before its response leaves, so a
+//! `kill -9` loses at most in-flight entries and a restart replays the
+//! log's journal into byte-identical responses; requests may carry a deterministic *logical* deadline
 //! (`deadline_millis`, enforced against derivation-node cost, code 9)
 //! and opt into stale-while-revalidate degradation (`allow_stale` →
 //! `stale: true` answers from the previous memo generation instead of

@@ -37,12 +37,14 @@
 //!
 //! ## Crash recovery
 //!
-//! With a persistent cache directory, every fingerprint-cache mutation
-//! is appended to a checksummed write-ahead journal
-//! ([`fearless_incr::wal`]) *before* the response leaves the daemon. A
-//! SIGKILL therefore loses at most in-flight entries; on restart the
-//! WAL is replayed into the loaded cache and compacted. Cache warmth
-//! never changes response bytes, so post-crash responses are
+//! With a persistent cache directory, the fingerprint-cache records a
+//! job changed are appended to the cache's own record log
+//! ([`fearless_incr::disk`]) *before* the response leaves the daemon.
+//! A SIGKILL therefore loses at most in-flight entries; on restart the
+//! ordinary load replays the log's journal (counted as `wal_replayed`),
+//! and the drain compacts it. A directory without a usable log gets an
+//! empty snapshot at startup, so every later write is an append. Cache
+//! warmth never changes response bytes, so post-crash responses are
 //! byte-identical to an uninterrupted run — the chaos drill pins this.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -55,8 +57,7 @@ use std::time::Duration;
 
 use fearless_core::CheckerOptions;
 use fearless_incr::disk::checksum_hex;
-use fearless_incr::wal::CacheWal;
-use fearless_incr::DiskCache;
+use fearless_incr::{DiskCache, LoadOutcome};
 use fearless_trace::{HistogramSet, Json, MemorySink, TraceSink, Tracer};
 
 use crate::protocol::{self, codes, Frame, Request, Response};
@@ -186,16 +187,12 @@ struct Shared {
     work_cv: Condvar,
     done_cv: Condvar,
     cache: Mutex<DiskCache>,
-    /// The open write-ahead journal (`None`: ephemeral cache, or the
-    /// WAL could not be opened and the daemon degraded to running
-    /// without one).
-    wal: Mutex<Option<CacheWal>>,
-    /// Records appended to the WAL this run (warmth-dependent: a warm
-    /// cache appends nothing).
+    /// Cache records written at the durability point this run
+    /// (warmth-dependent: a warm cache writes nothing).
     wal_appends: AtomicU64,
-    /// Records replayed from the WAL at startup (the signature of
-    /// recovering from a crash).
-    wal_replayed: AtomicU64,
+    /// Journal records the cache load replayed at startup (the
+    /// signature of recovering from a crash).
+    wal_replayed: u64,
     stop_accept: AtomicBool,
     saved: AtomicBool,
 }
@@ -269,28 +266,16 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot set nonblocking: {e}"))?;
-        let mut cache = match &opts.cache_dir {
+        let cache = match &opts.cache_dir {
             Some(dir) => DiskCache::load(dir),
             None => DiskCache::ephemeral(),
         };
-        // Crash recovery: replay the write-ahead journal into the
-        // loaded cache, compact (save the merged document, truncate the
-        // WAL), and keep the WAL open for this run's appends. A WAL
-        // that cannot be opened degrades to running without one — the
-        // daemon still works, it just loses crash durability.
-        let mut wal = None;
-        let mut wal_replayed = 0u64;
-        if let Some(dir) = &opts.cache_dir {
-            cache.enable_dirty_log();
-            let replayed = fearless_incr::wal::replay(dir);
-            wal_replayed = cache.apply_wal(&replayed.records) as u64;
-            if let Ok(mut w) = CacheWal::open(dir) {
-                if !replayed.records.is_empty() || replayed.torn {
-                    let _ = cache.save();
-                    let _ = w.reset();
-                }
-                wal = Some(w);
-            }
+        // Crash recovery is the load itself: it replays the log's
+        // journal. Without a usable log, write an empty snapshot now so
+        // each job's records reach the file as appends. A write that
+        // fails degrades to compacting at the durability point.
+        if cache.load_outcome() != LoadOutcome::Warm {
+            let _ = cache.compact();
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -307,10 +292,9 @@ impl Server {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            wal_replayed: cache.replayed() as u64,
             cache: Mutex::new(cache),
-            wal: Mutex::new(wal),
             wal_appends: AtomicU64::new(0),
-            wal_replayed: AtomicU64::new(wal_replayed),
             stop_accept: AtomicBool::new(false),
             saved: AtomicBool::new(false),
             opts,
@@ -425,9 +409,8 @@ fn reject_queued(shared: &Shared, st: &mut State) {
 }
 
 /// Writes the fingerprint cache back exactly once (the `shutdown`
-/// request and the accept loop's exit path both call this), then
-/// compacts the write-ahead journal — the saved document now holds
-/// everything the WAL held.
+/// request and the accept loop's exit path both call this) as a
+/// compacted snapshot, so the next daemon replays no journal.
 fn save_cache_once(shared: &Shared) -> Result<(), String> {
     if shared.saved.swap(true, Ordering::SeqCst) {
         return Ok(());
@@ -436,12 +419,7 @@ fn save_cache_once(shared: &Shared) -> Result<(), String> {
         .cache
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .save()?;
-    let mut wal = shared.wal.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(w) = wal.as_mut() {
-        let _ = w.reset();
-    }
-    Ok(())
+        .compact()
 }
 
 /// How one worker incarnation ended.
@@ -499,10 +477,10 @@ fn worker_loop(shared: &Shared) -> WorkerExit {
                 return WorkerExit::Died;
             }
         };
-        // Durability point: the WAL append happens before any waiter
-        // sees the response, so a response a client observed is never
-        // lost to a crash (at most re-derived identically).
-        flush_dirty_to_wal(shared);
+        // Durability point: the cache log append happens before any
+        // waiter sees the response, so a response a client observed is
+        // never lost to a crash (at most re-derived identically).
+        save_dirty(shared);
         let waiters = {
             let mut st = lock_state(shared);
             st.memo.insert(job.key.clone(), Arc::clone(&response));
@@ -552,22 +530,16 @@ fn handle_worker_crash(shared: &Shared, job: Job, msg: &str) {
     }
 }
 
-/// Drains the cache's dirty log into the write-ahead journal (no-op
-/// for ephemeral caches or when the WAL failed to open).
-fn flush_dirty_to_wal(shared: &Shared) {
-    let dirty = shared
-        .cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take_dirty();
-    if dirty.is_empty() {
+/// Saves the cache records the job changed to the cache's log (no-op
+/// for ephemeral caches and for jobs that changed nothing).
+fn save_dirty(shared: &Shared) {
+    if shared.opts.cache_dir.is_none() {
         return;
     }
-    let mut wal = shared.wal.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(w) = wal.as_mut() {
-        if let Ok(n) = w.append(&dirty) {
-            shared.wal_appends.fetch_add(n as u64, Ordering::SeqCst);
-        }
+    let cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
+    let dirty = cache.dirty() as u64;
+    if dirty > 0 && cache.save().is_ok() {
+        shared.wal_appends.fetch_add(dirty, Ordering::SeqCst);
     }
 }
 
@@ -808,10 +780,7 @@ fn stats_doc(shared: &Shared, st: &State) -> Json {
                 ("quarantined", Json::U64(c.quarantined)),
                 ("stale_served", Json::U64(c.stale_served)),
                 ("deadline_exceeded", Json::U64(c.deadline_exceeded)),
-                (
-                    "wal_replayed",
-                    Json::U64(shared.wal_replayed.load(Ordering::SeqCst)),
-                ),
+                ("wal_replayed", Json::U64(shared.wal_replayed)),
                 (
                     "wal_appends_nondet",
                     Json::U64(shared.wal_appends.load(Ordering::SeqCst)),

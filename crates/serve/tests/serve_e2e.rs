@@ -115,7 +115,8 @@ fn wal_replay_recovers_a_crashed_daemon_byte_identically() {
 
     // Daemon A: serve one check, then snapshot the cache directory
     // *while it is still running* — exactly the bytes a kill -9 would
-    // leave behind: a WAL with the entry, no check-cache.json yet.
+    // leave behind: the cache log with the entry in its journal, not
+    // yet compacted by a clean shutdown.
     let mut opts = ServeOptions::new(&socket);
     opts.cache_dir = Some(cache_dir.clone());
     let spawned = Server::spawn(opts).expect("spawn");
@@ -131,13 +132,15 @@ fn wal_replay_recovers_a_crashed_daemon_byte_identically() {
         }
     }
     assert!(
-        crash_dir.join("check-cache.wal").exists(),
-        "the WAL must exist before any clean save"
+        !crash_dir.join("check-cache.wal").exists(),
+        "the cache log is the only journal"
     );
+    let at_crash = DiskCache::load(&crash_dir);
+    assert_eq!(at_crash.load_outcome(), LoadOutcome::Warm);
     assert!(
-        !crash_dir.join("check-cache.json").exists(),
-        "no clean save may have happened yet — otherwise this test \
-         is not exercising crash recovery"
+        at_crash.replayed() > 0,
+        "the entry must sit in the journal, not in a compacted snapshot — \
+         otherwise this test is not exercising crash recovery"
     );
     let r = c.request("shutdown", "").expect("shutdown");
     assert_eq!(r.code, codes::OK);
@@ -153,7 +156,7 @@ fn wal_replay_recovers_a_crashed_daemon_byte_identically() {
     let stats = c.request("stats", "").expect("stats");
     assert!(
         stats.output.contains("\"wal_replayed\"") && !stats.output.contains("\"wal_replayed\": 0"),
-        "stats must count the replayed WAL records:\n{}",
+        "stats must count the replayed journal records:\n{}",
         stats.output
     );
     let recovered = c.request("check", SMOKE_PROGRAM).expect("warm check");

@@ -7,7 +7,7 @@
 //! receives SIGTERM. The in-flight job must *complete* with a real
 //! verdict, every queued job must be answered with a structured code 8
 //! (never a hang or a dropped connection), the fingerprint cache must
-//! be persisted exactly once with its write-ahead log reset, and a
+//! be persisted exactly once as a compacted snapshot, and a
 //! successor daemon in the same process must start with a fresh TERM
 //! flag, replay nothing, and serve byte-identical warm responses.
 
@@ -139,8 +139,8 @@ fn sigterm_drains_inflight_and_rejects_queued_with_code_8() {
         "unexpected summary: {summary}"
     );
 
-    // The cache was persisted exactly once on the way down and the WAL
-    // was reset — a cold load must come up warm with zero replay debt.
+    // The cache was persisted exactly once on the way down, compacted —
+    // a load must come up warm with zero replay debt.
     let cache = DiskCache::load(&cache_dir);
     assert_eq!(cache.load_outcome(), LoadOutcome::Warm, "cache persisted");
     assert!(!cache.is_empty(), "warm check must have left entries");

@@ -143,8 +143,8 @@ impl Json {
     }
 
     /// Renders the value on a single line, no trailing newline — for
-    /// line-oriented formats (e.g. the incremental cache's write-ahead
-    /// journal) where one value must occupy exactly one line.
+    /// line-oriented formats (e.g. the incremental cache's record log)
+    /// where one value must occupy exactly one line.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);
