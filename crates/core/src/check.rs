@@ -54,13 +54,135 @@ pub struct FnChecker<'a> {
     self_ctx: Option<(RegionId, Symbol)>,
 }
 
+/// The `check` span's counters for one checked function, in the fixed
+/// order of [`CheckCounts::NAMES`]. This is the one place that names and
+/// orders them: a live check and a replay of a stored outcome both emit
+/// them through [`CheckCounts::emit`], so the two spans cannot differ.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CheckCounts(pub [u64; CheckCounts::LEN]);
+
+impl CheckCounts {
+    /// Number of counters.
+    pub const LEN: usize = 24;
+
+    /// Counter names, in value order. The full set is always emitted
+    /// (zeros included) so every function's scope has the same shape —
+    /// `fearlessc profile` relies on that for its table.
+    pub const NAMES: [&'static str; CheckCounts::LEN] = [
+        "check.deriv_nodes",
+        "check.vir_steps",
+        "check.liveness_queries",
+        "check.oracle_queries",
+        "check.oracle_hits",
+        "check.oracle_misses",
+        "check.joins_greedy",
+        "check.joins_fallback",
+        "search.runs",
+        "search.nodes",
+        "search.backtracks",
+        "search.enqueued",
+        "search.unify_attempts",
+        "search.unify_failures",
+        "search.exhausted",
+        "vir.focus",
+        "vir.unfocus",
+        "vir.explore",
+        "vir.retract",
+        "vir.attach",
+        "vir.weaken",
+        "vir.rename",
+        "vir.invalidate",
+        "vir.scrub-field",
+    ];
+
+    /// Index of the first `vir.*` counter; one per [`vir::VirKind`].
+    const VIR: usize = 15;
+
+    fn of(counters: &CheckCounters, deriv: &Derivation) -> CheckCounts {
+        let c = counters;
+        let mut v = [0; CheckCounts::LEN];
+        v[..CheckCounts::VIR].copy_from_slice(&[
+            deriv.len() as u64,
+            deriv.vir_steps as u64,
+            c.liveness_queries.get(),
+            c.oracle_queries,
+            c.oracle_hits,
+            c.oracle_queries - c.oracle_hits,
+            c.oracle_hits,
+            c.joins_fallback,
+            c.search_runs,
+            c.search.nodes,
+            c.search.backtracks,
+            c.search.enqueued,
+            c.search.unify_attempts,
+            c.search.unify_failures,
+            u64::from(c.search.exhausted),
+        ]);
+        for step in deriv.vir_iter() {
+            v[CheckCounts::VIR + vir_slot(step.kind())] += 1;
+        }
+        CheckCounts(v)
+    }
+
+    /// Adds every counter to the open span of `tracer`.
+    pub fn emit(&self, tracer: &mut Tracer<'_>) {
+        for (name, value) in CheckCounts::NAMES.into_iter().zip(self.0) {
+            tracer.add(name, value);
+        }
+    }
+
+    /// Derivation nodes (`check.deriv_nodes`).
+    pub fn deriv_nodes(&self) -> u64 {
+        self.0[0]
+    }
+
+    /// Virtual-transformation steps (`check.vir_steps`).
+    pub fn vir_steps(&self) -> u64 {
+        self.0[1]
+    }
+
+    /// Backtracking-search states visited (`search.nodes`).
+    pub fn search_nodes(&self) -> u64 {
+        self.0[9]
+    }
+}
+
+/// Position of a virtual-transformation kind among the `vir.*` counters.
+fn vir_slot(kind: vir::VirKind) -> usize {
+    use vir::VirKind;
+    match kind {
+        VirKind::Focus => 0,
+        VirKind::Unfocus => 1,
+        VirKind::Explore => 2,
+        VirKind::Retract => 3,
+        VirKind::Attach => 4,
+        VirKind::Weaken => 5,
+        VirKind::Rename => 6,
+        VirKind::Invalidate => 7,
+        VirKind::ScrubField => 8,
+    }
+}
+
 /// Checks one function definition, producing its derivation.
 pub fn check_fn(
     globals: &Globals,
     opts: &CheckerOptions,
     def: &FnDef,
 ) -> Result<Derivation, TypeError> {
-    check_fn_traced(globals, opts, def, &mut Tracer::off())
+    check_fn_impl(globals, opts, def).map(|(deriv, _)| deriv)
+}
+
+/// Like [`check_fn`], also returning the function's `check` span
+/// counters, for a driver that emits or stores them itself.
+pub fn check_fn_counted(
+    globals: &Globals,
+    opts: &CheckerOptions,
+    def: &FnDef,
+) -> Result<(Derivation, CheckCounts), TypeError> {
+    check_fn_impl(globals, opts, def).map(|(deriv, counters)| {
+        let counts = CheckCounts::of(&counters, &deriv);
+        (deriv, counts)
+    })
 }
 
 /// Like [`check_fn`], emitting a `check` span with the function's search,
@@ -72,18 +194,23 @@ pub fn check_fn_traced(
     def: &FnDef,
     tracer: &mut Tracer<'_>,
 ) -> Result<Derivation, TypeError> {
+    if !tracer.is_enabled() {
+        return check_fn(globals, opts, def);
+    }
     tracer.span_enter("check", def.name.as_str());
-    let result = check_fn_impl(globals, opts, def, tracer);
+    let result = check_fn_counted(globals, opts, def);
+    if let Ok((_, counts)) = &result {
+        counts.emit(tracer);
+    }
     tracer.span_exit();
-    result
+    result.map(|(deriv, _)| deriv)
 }
 
 fn check_fn_impl(
     globals: &Globals,
     opts: &CheckerOptions,
     def: &FnDef,
-    tracer: &mut Tracer<'_>,
-) -> Result<Derivation, TypeError> {
+) -> Result<(Derivation, CheckCounters), TypeError> {
     let sig = globals
         .sig(&def.name)
         .ok_or_else(|| TypeError::new(format!("unknown function `{}`", def.name), def.span))?;
@@ -152,69 +279,7 @@ fn check_fn_impl(
     let deriv = ck
         .deriv
         .finish(def.name.clone(), input, output, val, chain, param_regions);
-    if tracer.is_enabled() {
-        emit_check_metrics(tracer, &ck.counters, &deriv);
-    }
-    Ok(deriv)
-}
-
-/// Stable counter name for a virtual-transformation kind.
-fn vir_counter(kind: vir::VirKind) -> &'static str {
-    use vir::VirKind;
-    match kind {
-        VirKind::Focus => "vir.focus",
-        VirKind::Unfocus => "vir.unfocus",
-        VirKind::Explore => "vir.explore",
-        VirKind::Retract => "vir.retract",
-        VirKind::Attach => "vir.attach",
-        VirKind::Weaken => "vir.weaken",
-        VirKind::Rename => "vir.rename",
-        VirKind::Invalidate => "vir.invalidate",
-        VirKind::ScrubField => "vir.scrub-field",
-    }
-}
-
-/// Emits the per-function counter set into the open `check` span. The full
-/// key set is always emitted (zeros included) so every function's scope has
-/// the same shape — `fearlessc profile` relies on that for its table.
-fn emit_check_metrics(tracer: &mut Tracer<'_>, counters: &CheckCounters, deriv: &Derivation) {
-    tracer.add("check.deriv_nodes", deriv.len() as u64);
-    tracer.add("check.vir_steps", deriv.vir_steps as u64);
-    tracer.add("check.liveness_queries", counters.liveness_queries.get());
-    tracer.add("check.oracle_queries", counters.oracle_queries);
-    tracer.add("check.oracle_hits", counters.oracle_hits);
-    tracer.add(
-        "check.oracle_misses",
-        counters.oracle_queries - counters.oracle_hits,
-    );
-    tracer.add("check.joins_greedy", counters.oracle_hits);
-    tracer.add("check.joins_fallback", counters.joins_fallback);
-    tracer.add("search.runs", counters.search_runs);
-    tracer.add("search.nodes", counters.search.nodes);
-    tracer.add("search.backtracks", counters.search.backtracks);
-    tracer.add("search.enqueued", counters.search.enqueued);
-    tracer.add("search.unify_attempts", counters.search.unify_attempts);
-    tracer.add("search.unify_failures", counters.search.unify_failures);
-    tracer.add(
-        "search.exhausted",
-        if counters.search.exhausted { 1 } else { 0 },
-    );
-    for kind in [
-        vir::VirKind::Focus,
-        vir::VirKind::Unfocus,
-        vir::VirKind::Explore,
-        vir::VirKind::Retract,
-        vir::VirKind::Attach,
-        vir::VirKind::Weaken,
-        vir::VirKind::Rename,
-        vir::VirKind::Invalidate,
-        vir::VirKind::ScrubField,
-    ] {
-        tracer.add(vir_counter(kind), 0);
-    }
-    for step in deriv.vir_iter() {
-        tracer.add(vir_counter(step.kind()), 1);
-    }
+    Ok((deriv, ck.counters))
 }
 
 impl<'a> FnChecker<'a> {

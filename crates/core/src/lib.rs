@@ -44,7 +44,7 @@ pub mod state;
 pub mod unify;
 pub mod vir;
 
-pub use check::CheckCounters;
+pub use check::{CheckCounters, CheckCounts};
 pub use ctx::{Binding, HeapCtx, RegionId, TrackCtx, TypeState, VarCtx, VarTrack};
 pub use derivation::{CallInfo, DerivBuilder, DerivNode, Derivation, Rule, ValInfo};
 pub use env::{FnSig, Globals, StructPatch};
@@ -97,18 +97,7 @@ pub fn check_program(
     program: &Program,
     options: &CheckerOptions,
 ) -> Result<CheckedProgram, TypeError> {
-    check_program_traced(program, options, &mut fearless_trace::Tracer::off())
-}
-
-/// Like [`check_program`], emitting per-function `check` spans (search,
-/// oracle, and virtual-transformation counters) to `tracer`. Tracing is
-/// observation-only: the result is identical to [`check_program`]'s.
-pub fn check_program_traced(
-    program: &Program,
-    options: &CheckerOptions,
-    tracer: &mut fearless_trace::Tracer<'_>,
-) -> Result<CheckedProgram, TypeError> {
-    let derivations = derive_all(program, options, tracer)?;
+    let derivations = derive_all(program, options, &mut fearless_trace::Tracer::off())?;
     Ok(CheckedProgram {
         program: program.clone(),
         derivations,
@@ -143,8 +132,9 @@ pub fn check_source(src: &str, options: &CheckerOptions) -> Result<CheckedProgra
     check_source_traced(src, options, &mut fearless_trace::Tracer::off())
 }
 
-/// Like [`check_source`], with instrumentation (see
-/// [`check_program_traced`]).
+/// Like [`check_source`], emitting per-function `check` spans (search,
+/// oracle, and virtual-transformation counters) to `tracer`. Tracing is
+/// observation-only: the result is identical to [`check_source`]'s.
 pub fn check_source_traced(
     src: &str,
     options: &CheckerOptions,

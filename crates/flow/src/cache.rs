@@ -1,25 +1,34 @@
 //! The flow-summary table (`fearlessc flow --cache <dir>`).
 //!
 //! A second typed table in `fearless-incr`'s one fingerprint store: the
-//! log (`flow.json`, schema `fearless-flow-cache/3`, one checksummed
+//! log (`flow.json`, schema `fearless-flow-cache/4`, one checksummed
 //! record per key) gets the store's append-or-compact save, advisory
 //! save lock (`flow.lock`), and
 //! [`LoadOutcome`](fearless_incr::LoadOutcome) recovery signal,
 //! degrading to a cold start on any corruption of its snapshot.
 //!
-//! Entries are keyed by [`fn_key`]: a checksum over the function's own
-//! checker [`Fingerprint`](fearless_core::Fingerprint) and the
-//! fingerprints of every transitively reachable callee. The stored value
-//! is the per-function summary minus the `heap_quiet` closure (which is
-//! cross-function state, recomputed cheaply on every load), so warm and
-//! cold runs render byte-identical flow-facts documents.
+//! Entries are keyed by the function's own checker
+//! [`Fingerprint`](fearless_core::Fingerprint). That key is sound because
+//! a summary reads nothing the fingerprint leaves out. `classify_fn`,
+//! `local_heap_quiet` and `direct_callees` read only three things: the
+//! function's own code, its callees' signatures (a call pops `n_params`
+//! values and pushes `ret`), and the layouts of the structs whose values
+//! its code can hold. The fingerprint hashes the function's definition,
+//! the elaborated signature of every callee (its own included, which
+//! covers its name), and every struct reachable from those signatures
+//! and its body, closed over field types. A callee's *body* is in none
+//! of them, so a body-only edit re-keys just the edited function. The
+//! stored value is the per-function summary minus the `heap_quiet`
+//! closure, the one cross-function fact, which is recomputed on every
+//! load; warm and cold runs render byte-identical flow-facts documents.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use fearless_incr::disk::insert_changed;
-use fearless_incr::{checksum_hex, Store, Table};
-use fearless_runtime::{CompiledProgram, Inst, StepSafety};
+use fearless_core::Fingerprint;
+use fearless_incr::disk::{fingerprint_json, fingerprint_of, insert_changed};
+use fearless_incr::{Store, Table};
+use fearless_runtime::StepSafety;
 use fearless_trace::Json;
 
 use crate::FnSummary;
@@ -29,46 +38,6 @@ pub const CACHE_FILE: &str = FlowTable::FILE;
 
 /// Schema tag of the cache log.
 pub const CACHE_SCHEMA: &str = FlowTable::SCHEMA;
-
-/// The cache key for function `func`: own fingerprint plus the sorted
-/// fingerprints of every transitively callable function (absent
-/// fingerprints contribute a fixed marker, which keeps the key stable
-/// but distinct).
-pub(crate) fn fn_key(
-    program: &CompiledProgram,
-    func: usize,
-    fps: &BTreeMap<String, String>,
-) -> String {
-    let mut reachable: BTreeSet<usize> = BTreeSet::new();
-    let mut work = vec![func];
-    while let Some(i) = work.pop() {
-        if !reachable.insert(i) {
-            continue;
-        }
-        for inst in &program.funcs[i].code {
-            if let Inst::Call(f) = inst {
-                let f = *f as usize;
-                if f < program.funcs.len() && !reachable.contains(&f) {
-                    work.push(f);
-                }
-            }
-        }
-    }
-    let own = program.funcs[func].name.to_string();
-    let mut parts: Vec<String> = vec![own.clone()];
-    parts.push(fps.get(&own).cloned().unwrap_or_else(|| "?".to_string()));
-    let mut callee_fps: Vec<String> = reachable
-        .iter()
-        .filter(|i| **i != func)
-        .map(|i| {
-            let name = program.funcs[*i].name.to_string();
-            fps.get(&name).cloned().unwrap_or_else(|| "?".to_string())
-        })
-        .collect();
-    callee_fps.sort();
-    parts.extend(callee_fps);
-    checksum_hex(&parts.join("|"))
-}
 
 /// One cached per-function summary (everything but the cross-function
 /// `heap_quiet` closure).
@@ -91,9 +60,9 @@ impl CachedSummary {
         }
     }
 
-    fn to_json(&self, key: &str) -> Json {
+    fn to_json(&self, fp: Fingerprint) -> Json {
         Json::obj([
-            ("key", Json::str(key)),
+            ("fp", fingerprint_json(fp)),
             ("name", Json::str(self.name.clone())),
             ("safety", Json::str(self.safety.clone())),
             ("local_heap_quiet", Json::Bool(self.local_heap_quiet)),
@@ -122,32 +91,33 @@ impl CachedSummary {
 /// The persistent flow-summary cache.
 pub type FlowCache = Store<FlowTable>;
 
-/// The flow table: cached per-function summaries keyed by a checksum of
-/// the function's and its reachable callees' fingerprints, plus this
-/// session's hit/miss counters (not persisted).
+/// The flow table: cached per-function summaries keyed by the
+/// function's checker fingerprint, plus this session's hit/miss counters
+/// (not persisted).
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    entries: BTreeMap<String, CachedSummary>,
+    entries: BTreeMap<Fingerprint, CachedSummary>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
 
 impl Table for FlowTable {
     const FILE: &'static str = "flow.json";
-    const SCHEMA: &'static str = "fearless-flow-cache/3";
-    /// A key and the summary stored under it.
-    type Record = (String, CachedSummary);
+    const SCHEMA: &'static str = "fearless-flow-cache/4";
+    /// A fingerprint and the summary stored under it.
+    type Record = (Fingerprint, CachedSummary);
 
-    fn encode((key, summary): &Self::Record) -> Json {
-        summary.to_json(key)
+    fn encode((fp, summary): &Self::Record) -> Json {
+        summary.to_json(*fp)
     }
 
     fn decode(mut v: Json) -> Option<Self::Record> {
+        let fp = fingerprint_of(&v.take("fp")?)?;
         let mut text = |k: &str| match v.take(k)? {
             Json::Str(s) => Some(s),
             _ => None,
         };
-        let (key, name, safety) = (text("key")?, text("name")?, text("safety")?);
+        let (name, safety) = (text("name")?, text("safety")?);
         let Some(Json::Bool(local_heap_quiet)) = v.take("local_heap_quiet") else {
             return None;
         };
@@ -167,15 +137,15 @@ impl Table for FlowTable {
             local_heap_quiet,
             callees,
         };
-        Some((key, summary))
+        Some((fp, summary))
     }
 
-    fn apply(&mut self, (key, summary): Self::Record) -> bool {
-        insert_changed(&mut self.entries, key, summary)
+    fn apply(&mut self, (fp, summary): Self::Record) -> bool {
+        insert_changed(&mut self.entries, fp, summary)
     }
 
     fn records(&self) -> Vec<Json> {
-        self.entries.iter().map(|(k, v)| v.to_json(k)).collect()
+        self.entries.iter().map(|(fp, v)| v.to_json(*fp)).collect()
     }
 
     fn live(&self) -> usize {
@@ -200,12 +170,12 @@ impl FlowTable {
     }
 
     /// Looks up (and decodes) a cached summary, counting a hit or miss.
-    /// The stored name must match `name` — a checksum collision across
+    /// The stored name must match `name` — a fingerprint collision across
     /// functions must not smuggle one function's verdicts into another.
-    pub(crate) fn lookup(&self, key: &str, name: &str) -> Option<FnSummary> {
+    pub(crate) fn lookup(&self, fp: Fingerprint, name: &str) -> Option<FnSummary> {
         let found = self
             .entries
-            .get(key)
+            .get(&fp)
             .filter(|s| s.name == name)
             .and_then(|s| s.decode());
         let counter = if found.is_some() {
@@ -287,24 +257,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn editing_a_function_invalidates_its_key_and_its_callers() {
-        let checked = check_source(SRC, &CheckerOptions::default()).expect("checks");
+    /// Analyzes `SRC` into a fresh ephemeral cache, then `edited` over
+    /// it: the second run's `(hits, misses)`, its dirty records, and
+    /// whether its output equals a cacheless run.
+    fn edit_run(edited: &str) -> ((u64, u64), usize, bool) {
+        let opts = CheckerOptions::default();
         let mut cache = FlowCache::ephemeral();
+        let checked = check_source(SRC, &opts).expect("checks");
         analyze_checked_cached(&checked, &mut cache).expect("analyzes");
-
-        // `set_value` changes; `relink` calls it, so both keys move.
-        let edited = SRC.replace("d.value = 7", "d.value = 8");
-        let checked2 = check_source(&edited, &CheckerOptions::default()).expect("checks");
-        let flow2 = analyze_checked_cached(&checked2, &mut cache).expect("analyzes");
         let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (0, 4), "edit invalidates callee and caller");
-        assert_eq!(
-            flow2.to_json(),
-            analyze_source(&edited, &CheckerOptions::default())
-                .expect("analyzes")
-                .to_json()
+        let checked = check_source(edited, &opts).expect("checks");
+        let flow = analyze_checked_cached(&checked, &mut cache).expect("analyzes");
+        let (all_hits, all_misses) = cache.stats();
+        let cold = analyze_source(edited, &opts).expect("analyzes");
+        (
+            (all_hits - hits, all_misses - misses),
+            cache.dirty(),
+            flow.to_json() == cold.to_json(),
+        )
+    }
+
+    #[test]
+    fn a_callee_body_edit_rekeys_only_the_callee() {
+        // `relink` calls `set_value`; a body edit leaves its key alone.
+        let edited = SRC.replace("d.value = 7", "d.value = 8");
+        assert_eq!(edit_run(&edited), ((1, 1), 3, true));
+    }
+
+    #[test]
+    fn a_callee_signature_edit_rekeys_its_callers() {
+        // Renaming the parameter changes `set_value`'s elaborated
+        // signature, which is part of the caller's fingerprint.
+        let edited = SRC.replace(
+            "set_value(d : data) : unit { d.value = 7; }",
+            "set_value(e : data) : unit { e.value = 7; }",
         );
+        assert_eq!(edit_run(&edited), ((0, 2), 4, true));
     }
 
     #[test]
@@ -379,16 +367,17 @@ mod tests {
         warm.save().expect("saves");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), snapshot);
 
-        // `set_value` changes; `relink` calls it: two fresh records.
+        // `set_value`'s body changes: one fresh record; its caller
+        // `relink` keeps its key.
         let edited = SRC.replace("d.value = 7", "d.value = 8");
         let checked2 = check_source(&edited, &CheckerOptions::default()).expect("checks");
         analyze_checked_cached(&checked2, &mut warm).expect("analyzes");
         warm.save().expect("saves");
         let text = std::fs::read_to_string(&path).unwrap();
         let journal = text.strip_prefix(&snapshot).expect("appended");
-        assert_eq!(journal.lines().count(), 2);
+        assert_eq!(journal.lines().count(), 1);
         let loaded = FlowCache::load(&dir);
-        assert_eq!(loaded.replayed(), 2);
+        assert_eq!(loaded.replayed(), 1);
         assert_eq!(loaded.snapshot(), warm.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -256,14 +256,14 @@ pub fn analyze_source(src: &str, options: &CheckerOptions) -> Result<ProgramFlow
 }
 
 /// Like [`analyze_checked`], but consults (and fills) `cache`: functions
-/// whose fingerprint-derived key is present are decoded from the cache
+/// whose checker fingerprint is present are decoded from the cache
 /// instead of re-running the per-function fixpoint. Warm and cold runs
 /// produce byte-identical [`ProgramFlow::to_json`] output.
 ///
-/// Each function's key covers its own checker fingerprint (which already
-/// includes callee signatures, reachable struct layouts, and the checker
-/// options) plus the fingerprints of every transitively reachable
-/// callee, so any edit that could change a summary changes the key.
+/// The fingerprint covers everything a summary reads: the function's
+/// code, its callees' signatures and the struct layouts it can reach
+/// (the `cache` module says why). An edit to a callee's body leaves a
+/// caller's key alone; an edit to its signature re-keys every caller.
 ///
 /// # Errors
 ///
@@ -273,15 +273,12 @@ pub fn analyze_checked_cached(
     cache: &mut FlowCache,
 ) -> Result<ProgramFlow, TypeError> {
     let compiled = compile(&checked.program)?;
-    let fps: BTreeMap<String, String> = program_fingerprints(&checked.program, &checked.options)?
-        .into_iter()
-        .map(|(name, fp)| (name.to_string(), fp.to_hex()))
-        .collect();
+    // Compiled functions are in definition order, as are fingerprints.
+    let fps = program_fingerprints(&checked.program, &checked.options)?;
     let mut funcs: Vec<FnSummary> = Vec::with_capacity(compiled.funcs.len());
-    for i in 0..compiled.funcs.len() {
+    for (i, (_, fp)) in fps.into_iter().enumerate() {
         let name = compiled.funcs[i].name.to_string();
-        let key = cache::fn_key(&compiled, i, &fps);
-        if let Some(summary) = cache.lookup(&key, &name) {
+        if let Some(summary) = cache.lookup(fp, &name) {
             funcs.push(summary);
             continue;
         }
@@ -293,7 +290,7 @@ pub fn analyze_checked_cached(
             heap_quiet: local,
             callees: direct_callees(&compiled, i),
         };
-        cache.put((key, cache::CachedSummary::of(&summary)));
+        cache.put((fp, cache::CachedSummary::of(&summary)));
         funcs.push(summary);
     }
     // The closure is cross-function state, so it is recomputed from the

@@ -6,31 +6,37 @@
 //! advisory lock — and the table owns only its typed records. Two
 //! tables exist:
 //!
-//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/3`,
+//! * [`CheckTable`] (`check-cache.json`, schema `fearless-incr-cache/4`,
 //!   the [`DiskCache`] behind `fearlessc check --cache <dir>` and the
 //!   `fearlessc serve` daemon). Entries are content-addressed by
-//!   [`Fingerprint`] hex and store the per-function check *summary* —
-//!   verdict, derivation shape, and the span counter map — not the
-//!   derivation itself: enough to replay `fearlessc check`'s report,
-//!   diagnostics, and `--metrics json` spans byte-for-byte without
-//!   re-deriving anything. Name records map the last fingerprint seen
-//!   per qualified function name, which is what turns a content change
-//!   into a counted *invalidation*.
+//!   [`Fingerprint`] and store the per-function check *summary* — the
+//!   verdict and, for a function that checked, its `check` span's
+//!   [`CheckCounts`] — not the derivation itself: enough to replay
+//!   `fearlessc check`'s report, diagnostics, and `--metrics json` spans
+//!   byte-for-byte without re-deriving anything. Name records map the
+//!   last fingerprint seen per qualified function name, which is what
+//!   turns a content change into a counted *invalidation*.
 //! * `fearless_flow::FlowTable` (`flow.json`), the flow-summary cache.
+//!
+//! Tables key their maps by [`Fingerprint`] in memory; the hex form
+//! exists only in the records on disk.
 //!
 //! ## Format
 //!
 //! A table's file is an append-only log of records:
 //!
 //! ```text
-//! fearless-incr-cache/3
-//! <fnv64 hex> {"entry": "<fingerprint>", "outcome": {…}}
+//! fearless-incr-cache/4
+//! <fnv64 hex> {"entry": "<fingerprint>", "counts": [<24 numbers>]}
+//! <fnv64 hex> {"entry": "<fingerprint>", "error": "<message>", "span": [lo, hi]}
 //! <fnv64 hex> {"name": "<qualified name>", "fp": "<fingerprint>"}
 //! <fnv64 hex> {"commit": 2}
 //! <fnv64 hex> {"name": …}          ← journal: appended after the commit
 //! ```
 //!
-//! The first line is the schema tag. Every later line is the FNV-1a 64
+//! The first line is the schema tag. An entry's `counts` array holds the
+//! values of [`CheckCounts::NAMES`], in that order; an array of any other
+//! length is a malformed record. Every later line is the FNV-1a 64
 //! checksum of its record's compact JSON, a space, and those bytes, so
 //! [`Store::load`] checks each line over the bytes as read and parses it
 //! once with [`parse_json`]. A *snapshot* is every live record followed
@@ -89,7 +95,7 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
-use fearless_core::Fingerprint;
+use fearless_core::{CheckCounts, Fingerprint};
 use fearless_trace::{parse_json, Json};
 
 /// File name of the check table inside the cache directory.
@@ -230,17 +236,13 @@ impl Drop for SaveLock {
 /// `check_fn` run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CachedOutcome {
-    /// The function checked. Stores the derivation shape (for the check
-    /// report) and the full span counter map (for metrics replay).
+    /// The function checked.
     Ok {
-        /// Derivation nodes.
+        /// Derivation nodes: `counts.deriv_nodes()`, kept beside the
+        /// counts for the check report and the scheduler's cost model.
         nodes: u64,
-        /// Virtual-transformation steps.
-        vir_steps: u64,
-        /// Backtracking-search states visited.
-        search_nodes: u64,
-        /// The `check` span's counters, keyed by counter name.
-        counters: BTreeMap<String, u64>,
+        /// The `check` span's counters (for metrics replay).
+        counts: CheckCounts,
     },
     /// The function failed to check.
     Err {
@@ -255,68 +257,11 @@ pub enum CachedOutcome {
 }
 
 impl CachedOutcome {
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            CachedOutcome::Ok {
-                nodes,
-                vir_steps,
-                search_nodes,
-                counters,
-            } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("nodes", Json::U64(*nodes)),
-                ("vir_steps", Json::U64(*vir_steps)),
-                ("search_nodes", Json::U64(*search_nodes)),
-                (
-                    "counters",
-                    Json::Obj(
-                        counters
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::U64(*v)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            CachedOutcome::Err {
-                message,
-                span_lo,
-                span_hi,
-            } => Json::obj([
-                ("ok", Json::Bool(false)),
-                ("message", Json::str(message.clone())),
-                ("span_lo", Json::U64(*span_lo as u64)),
-                ("span_hi", Json::U64(*span_hi as u64)),
-            ]),
-        }
-    }
-
-    pub(crate) fn from_json(mut v: Json) -> Option<CachedOutcome> {
-        match v.take("ok")? {
-            Json::Bool(true) => {
-                let mut counters = BTreeMap::new();
-                if let Some(Json::Obj(cs)) = v.take("counters") {
-                    for (k, v) in cs {
-                        if let Json::U64(n) = v {
-                            counters.insert(k, n);
-                        }
-                    }
-                }
-                Some(CachedOutcome::Ok {
-                    nodes: v.get("nodes")?.as_u64()?,
-                    vir_steps: v.get("vir_steps")?.as_u64()?,
-                    search_nodes: v.get("search_nodes")?.as_u64()?,
-                    counters,
-                })
-            }
-            Json::Bool(false) => Some(CachedOutcome::Err {
-                message: match v.take("message")? {
-                    Json::Str(s) => s,
-                    _ => return None,
-                },
-                span_lo: v.get("span_lo")?.as_u64()? as u32,
-                span_hi: v.get("span_hi")?.as_u64()? as u32,
-            }),
-            _ => None,
+    /// The outcome of a function that checked with `counts`.
+    pub fn checked(counts: CheckCounts) -> CachedOutcome {
+        CachedOutcome::Ok {
+            nodes: counts.deriv_nodes(),
+            counts,
         }
     }
 }
@@ -666,8 +611,8 @@ fn read_log<T: Table>(bytes: &[u8]) -> Result<(T, usize, bool), &'static str> {
 /// fingerprint table used for invalidation accounting.
 #[derive(Debug, Default)]
 pub struct CheckTable {
-    entries: BTreeMap<String, CachedOutcome>,
-    names: BTreeMap<String, String>,
+    entries: BTreeMap<Fingerprint, CachedOutcome>,
+    names: BTreeMap<String, Fingerprint>,
 }
 
 /// One check-table record.
@@ -675,8 +620,8 @@ pub struct CheckTable {
 pub enum CheckRecord {
     /// An outcome stored under a fingerprint.
     Entry {
-        /// Fingerprint hex key.
-        fp: String,
+        /// The fingerprint key.
+        fp: Fingerprint,
         /// The cached outcome.
         outcome: CachedOutcome,
     },
@@ -685,14 +630,14 @@ pub enum CheckRecord {
     Name {
         /// Qualified function name.
         name: String,
-        /// Fingerprint hex the name now maps to.
-        fp: String,
+        /// The fingerprint the name now maps to.
+        fp: Fingerprint,
     },
 }
 
 /// Stores `value` under `key`, returning whether the map changed — the
-/// [`Table::apply`] of a table keyed by strings.
-pub fn insert_changed<V: PartialEq>(map: &mut BTreeMap<String, V>, key: String, value: V) -> bool {
+/// [`Table::apply`] of a table kept in one map.
+pub fn insert_changed<K: Ord, V: PartialEq>(map: &mut BTreeMap<K, V>, key: K, value: V) -> bool {
     if map.get(&key) == Some(&value) {
         return false;
     }
@@ -700,37 +645,94 @@ pub fn insert_changed<V: PartialEq>(map: &mut BTreeMap<String, V>, key: String, 
     true
 }
 
-fn entry_json(fp: &str, outcome: &CachedOutcome) -> Json {
-    Json::obj([("entry", Json::str(fp)), ("outcome", outcome.to_json())])
+/// A fingerprint as its records write it: 32 hex digits.
+pub fn fingerprint_json(fp: Fingerprint) -> Json {
+    Json::Str(fp.to_hex())
 }
 
-fn name_json(name: &str, fp: &str) -> Json {
-    Json::obj([("name", Json::str(name)), ("fp", Json::str(fp))])
+/// Reads back what [`fingerprint_json`] wrote.
+pub fn fingerprint_of(value: &Json) -> Option<Fingerprint> {
+    Fingerprint::from_hex(value.as_str()?)
+}
+
+/// A JSON array of exactly `N` numbers.
+fn numbers<const N: usize>(value: &Json) -> Option<[u64; N]> {
+    let Json::Arr(items) = value else {
+        return None;
+    };
+    let items: Vec<u64> = items.iter().map(Json::as_u64).collect::<Option<_>>()?;
+    items.try_into().ok()
+}
+
+fn entry_json(fp: Fingerprint, outcome: &CachedOutcome) -> Json {
+    let entry = ("entry", fingerprint_json(fp));
+    match outcome {
+        CachedOutcome::Ok { counts, .. } => Json::obj([
+            entry,
+            ("counts", Json::Arr(counts.0.map(Json::U64).to_vec())),
+        ]),
+        CachedOutcome::Err {
+            message,
+            span_lo,
+            span_hi,
+        } => Json::obj([
+            entry,
+            ("error", Json::str(message.clone())),
+            (
+                "span",
+                Json::Arr(vec![
+                    Json::U64((*span_lo).into()),
+                    Json::U64((*span_hi).into()),
+                ]),
+            ),
+        ]),
+    }
+}
+
+/// Reads an entry's outcome: `counts`, or `error` and `span`.
+fn outcome_of(mut value: Json) -> Option<CachedOutcome> {
+    match (value.take("counts"), value.take("error")) {
+        (Some(counts), None) => Some(CachedOutcome::checked(CheckCounts(numbers(&counts)?))),
+        (None, Some(Json::Str(message))) => {
+            let [lo, hi] = numbers(&value.take("span")?)?;
+            Some(CachedOutcome::Err {
+                message,
+                span_lo: lo.try_into().ok()?,
+                span_hi: hi.try_into().ok()?,
+            })
+        }
+        _ => None,
+    }
+}
+
+fn name_json(name: &str, fp: Fingerprint) -> Json {
+    Json::obj([("name", Json::str(name)), ("fp", fingerprint_json(fp))])
 }
 
 impl Table for CheckTable {
     const FILE: &'static str = "check-cache.json";
-    const SCHEMA: &'static str = "fearless-incr-cache/3";
+    const SCHEMA: &'static str = "fearless-incr-cache/4";
     type Record = CheckRecord;
 
     fn encode(record: &CheckRecord) -> Json {
         match record {
-            CheckRecord::Entry { fp, outcome } => entry_json(fp, outcome),
-            CheckRecord::Name { name, fp } => name_json(name, fp),
+            CheckRecord::Entry { fp, outcome } => entry_json(*fp, outcome),
+            CheckRecord::Name { name, fp } => name_json(name, *fp),
         }
     }
 
     fn decode(mut value: Json) -> Option<CheckRecord> {
-        let record = match (value.take("entry"), value.take("name"), value.take("fp")) {
-            (Some(Json::Str(fp)), None, None) => CheckRecord::Entry {
-                outcome: CachedOutcome::from_json(value.take("outcome")?)?,
-                fp,
-            },
-            (None, Some(Json::Str(name)), Some(Json::Str(fp))) => CheckRecord::Name { name, fp },
-            _ => return None,
-        };
-        let (CheckRecord::Entry { fp, .. } | CheckRecord::Name { fp, .. }) = &record;
-        Fingerprint::from_hex(fp).map(|_| record)
+        match (value.take("entry"), value.take("name")) {
+            (Some(fp), None) => Some(CheckRecord::Entry {
+                fp: fingerprint_of(&fp)?,
+                outcome: outcome_of(value)?,
+            }),
+            (None, Some(Json::Str(name))) => Some(CheckRecord::Name {
+                name,
+                fp: fingerprint_of(&value.take("fp")?)?,
+            }),
+            _ => None,
+        }
     }
 
     fn apply(&mut self, record: CheckRecord) -> bool {
@@ -741,8 +743,8 @@ impl Table for CheckTable {
     }
 
     fn records(&self) -> Vec<Json> {
-        let entries = self.entries.iter().map(|(fp, o)| entry_json(fp, o));
-        let names = self.names.iter().map(|(name, fp)| name_json(name, fp));
+        let entries = self.entries.iter().map(|(fp, o)| entry_json(*fp, o));
+        let names = self.names.iter().map(|(name, fp)| name_json(name, *fp));
         entries.chain(names).collect()
     }
 
@@ -764,17 +766,14 @@ impl CheckTable {
 
     /// Looks up a cached outcome by fingerprint.
     pub fn lookup(&self, fp: Fingerprint) -> Option<&CachedOutcome> {
-        self.entries.get(&fp.to_hex())
+        self.entries.get(&fp)
     }
 }
 
 impl Store<CheckTable> {
     /// Stores an outcome under `fp`.
     pub fn insert(&mut self, fp: Fingerprint, outcome: CachedOutcome) {
-        self.put(CheckRecord::Entry {
-            fp: fp.to_hex(),
-            outcome,
-        });
+        self.put(CheckRecord::Entry { fp, outcome });
     }
 
     /// Records the fingerprint now current for a qualified function
@@ -782,16 +781,14 @@ impl Store<CheckTable> {
     /// invalidation). Re-noting a stable name changes nothing, so a warm
     /// run leaves nothing to save.
     pub fn note_name(&mut self, qualified: &str, fp: Fingerprint) -> bool {
-        let fp = fp.to_hex();
-        let prev = self.names.get(qualified);
-        let invalidated = prev.is_some_and(|prev| *prev != fp);
-        if prev != Some(&fp) {
+        let prev = self.names.get(qualified).copied();
+        if prev != Some(fp) {
             self.put(CheckRecord::Name {
                 name: qualified.to_string(),
                 fp,
             });
         }
-        invalidated
+        prev.is_some_and(|prev| prev != fp)
     }
 }
 
@@ -807,29 +804,20 @@ mod tests {
         Fingerprint::from_hex(&format!("{n:032x}")).unwrap()
     }
 
+    /// Counts with `nodes` derivation nodes and `rest` everywhere else.
+    fn counts(nodes: u64, rest: u64) -> CheckCounts {
+        let mut values = [rest; CheckCounts::LEN];
+        values[0] = nodes;
+        CheckCounts(values)
+    }
+
     fn ok_outcome(nodes: u64) -> CachedOutcome {
-        CachedOutcome::Ok {
-            nodes,
-            vir_steps: 1,
-            search_nodes: 0,
-            counters: BTreeMap::new(),
-        }
+        CachedOutcome::checked(counts(nodes, 1))
     }
 
     fn sample() -> DiskCache {
         let mut c = DiskCache::ephemeral();
-        let mut counters = BTreeMap::new();
-        counters.insert("check.deriv_nodes".to_string(), 7);
-        counters.insert("vir.focus".to_string(), 2);
-        c.insert(
-            fp(0xabc),
-            CachedOutcome::Ok {
-                nodes: 7,
-                vir_steps: 2,
-                search_nodes: 0,
-                counters,
-            },
-        );
+        c.insert(fp(0xabc), CachedOutcome::checked(counts(7, 2)));
         c.insert(
             fp(0xdef),
             CachedOutcome::Err {
@@ -1084,7 +1072,7 @@ mod tests {
         let text = log_text(&dir);
         // Flip a digit inside a stored value: the record still parses,
         // so only the checksum catches it.
-        let flipped = text.replace("\"nodes\": 7", "\"nodes\": 8");
+        let flipped = text.replace("\"counts\": [7,", "\"counts\": [8,");
         assert_ne!(flipped, text, "payload digit present");
         std::fs::write(dir.join(CACHE_FILE), flipped).unwrap();
         assert_recovers(&dir, "checksum mismatch");
@@ -1129,7 +1117,7 @@ mod tests {
     fn missing_checksum_field_recovers() {
         let dir = saved_dir("nochk");
         // A record line without its checksum, but valid JSON.
-        let body = name_json("prog/f", &fp(1).to_hex()).render_compact();
+        let body = name_json("prog/f", fp(1)).render_compact();
         std::fs::write(
             dir.join(CACHE_FILE),
             format!("{}\n{body}\n", CheckTable::SCHEMA),
@@ -1226,8 +1214,8 @@ mod tests {
         let after = log_text(&dir);
         let journal: Vec<&str> = after.strip_prefix(&before).unwrap().lines().collect();
         assert_eq!(journal.len(), 2, "{journal:?}");
-        assert!(journal[0].ends_with(&entry_json(&fp(2).to_hex(), &ok_outcome(3)).render_compact()));
-        assert!(journal[1].ends_with(&name_json("prog/f", &fp(2).to_hex()).render_compact()));
+        assert!(journal[0].ends_with(&entry_json(fp(2), &ok_outcome(3)).render_compact()));
+        assert!(journal[1].ends_with(&name_json("prog/f", fp(2)).render_compact()));
         let loaded = DiskCache::load(&dir);
         assert_eq!(loaded.replayed(), 2);
         assert_eq!(loaded.snapshot(), c.snapshot());
@@ -1252,11 +1240,7 @@ mod tests {
         assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
         assert_eq!(loaded.replayed(), 3);
         assert_eq!(loaded.snapshot(), other.snapshot());
-        assert_eq!(
-            loaded.names["prog/f"],
-            fp(0xabc).to_hex(),
-            "last write wins"
-        );
+        assert_eq!(loaded.names["prog/f"], fp(0xabc), "last write wins");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1307,8 +1291,8 @@ mod tests {
         let text = log_text(&dir);
         // Flip a digit inside the *first* journal record: the line still
         // parses, so only its checksum catches it, and replay stops there.
-        let at = text.find("\"nodes\": 1,").unwrap();
-        let flipped = format!("{}\"nodes\": 3,{}", &text[..at], &text[at + 11..]);
+        let flipped = text.replacen("\"counts\": [1,", "\"counts\": [3,", 1);
+        assert_ne!(flipped, text, "journal digit present");
         std::fs::write(dir.join(CACHE_FILE), flipped).unwrap();
         let loaded = DiskCache::load(&dir);
         assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
@@ -1376,6 +1360,136 @@ mod tests {
         assert_eq!(loaded.load_outcome(), LoadOutcome::Warm);
         assert_eq!(loaded.snapshot(), c.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log of `T`'s schema holding `records` and their commit line.
+    fn log_of(schema: &str, records: &[Json]) -> String {
+        let mut text = format!("{schema}\n");
+        for record in records {
+            push_line(&mut text, &record.render_compact());
+        }
+        let commit = Json::obj([("commit", Json::U64(records.len() as u64))]);
+        push_line(&mut text, &commit.render_compact());
+        text
+    }
+
+    const PROGRAM: &str = "struct data { value: int }
+        def make(v: int) : data { new data(v) }
+        def get(d: data) : int { d.value }";
+
+    /// Runs the driver over [`PROGRAM`] with `cache`, returning the run
+    /// and its `check` spans.
+    fn traced_run(cache: &mut DiskCache) -> (crate::CheckRun, String) {
+        let units = vec![(
+            String::new(),
+            fearless_syntax::parse_program(PROGRAM).unwrap(),
+        )];
+        let mut sink = fearless_trace::MemorySink::new();
+        let opts = fearless_core::CheckerOptions::default();
+        let run = crate::check_units(
+            &units,
+            &opts,
+            1,
+            Some(cache),
+            &mut fearless_trace::Tracer::new(&mut sink),
+        );
+        let spans = sink
+            .spans()
+            .filter(|m| m.phase == "check")
+            .map(|m| m.to_json_value_opts(false).render_compact())
+            .collect();
+        (run, spans)
+    }
+
+    /// Loads `text` as the check log of a fresh directory, asserts it is
+    /// one counted `reason` recovery, and that the run over it equals a
+    /// cold run.
+    fn assert_counted_recovery(tag: &str, text: &str, reason: &str) {
+        let dir = scratch(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(CACHE_FILE), text).unwrap();
+        let mut loaded = DiskCache::load(&dir);
+        assert_eq!(loaded.recovered_reason(), Some(reason), "{tag}");
+        let (run, spans) = traced_run(&mut loaded);
+        assert_eq!(run.stats.recoveries, 1, "{tag}");
+        assert_eq!((run.stats.hits, run.stats.misses), (0, 2), "{tag}");
+        let (cold, cold_spans) = traced_run(&mut DiskCache::ephemeral());
+        assert_eq!(run.units, cold.units, "{tag}");
+        assert_eq!(spans, cold_spans, "{tag}");
+        // The save replaces the document: the next load is warm.
+        loaded.save().unwrap();
+        assert_eq!(DiskCache::load(&dir).load_outcome(), LoadOutcome::Warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_schema_3_document_is_one_counted_cold_recovery() {
+        // The record log before the counts array: each entry held its
+        // outcome as an object with a name → value counter map.
+        let opts = fearless_core::CheckerOptions::default();
+        let program = fearless_syntax::parse_program(PROGRAM).unwrap();
+        let fps = fearless_core::program_fingerprints(&program, &opts).unwrap();
+        let mut records = Vec::new();
+        for (_, fp) in &fps {
+            let counters = CheckCounts::NAMES.map(|name| (name, Json::U64(0)));
+            let outcome = Json::obj([
+                ("ok", Json::Bool(true)),
+                ("nodes", Json::U64(0)),
+                ("vir_steps", Json::U64(0)),
+                ("search_nodes", Json::U64(0)),
+                ("counters", Json::obj(counters)),
+            ]);
+            records.push(Json::obj([
+                ("entry", fingerprint_json(*fp)),
+                ("outcome", outcome),
+            ]));
+        }
+        for (name, fp) in &fps {
+            records.push(name_json(&format!(":{name}"), *fp));
+        }
+        let old = log_of("fearless-incr-cache/3", &records);
+        assert_counted_recovery("schema-3", &old, "schema mismatch");
+    }
+
+    #[test]
+    fn a_counts_array_of_the_wrong_length_is_a_counted_recovery() {
+        for len in [0, CheckCounts::LEN - 1, CheckCounts::LEN + 1] {
+            let entry = Json::obj([
+                ("entry", fingerprint_json(fp(1))),
+                ("counts", Json::Arr(vec![Json::U64(1); len])),
+            ]);
+            let text = log_of(CheckTable::SCHEMA, &[entry]);
+            assert_counted_recovery(&format!("counts-{len}"), &text, "malformed record");
+        }
+    }
+
+    #[test]
+    fn counts_round_trip_unchanged() {
+        let mut values = [0; CheckCounts::LEN];
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = (i as u64) << 40;
+        }
+        values[3] = u64::MAX;
+        let mut c = DiskCache::ephemeral();
+        c.insert(fp(1), CachedOutcome::checked(CheckCounts(values)));
+        c.insert(
+            fp(2),
+            CachedOutcome::checked(CheckCounts([u64::MAX; CheckCounts::LEN])),
+        );
+        c.insert(
+            fp(3),
+            CachedOutcome::Err {
+                message: "m".to_string(),
+                span_lo: u32::MAX,
+                span_hi: 0,
+            },
+        );
+        let table: CheckTable = read_log(c.snapshot().as_bytes()).unwrap().0;
+        assert_eq!(table.entries, c.entries);
+        assert!(matches!(
+            table.lookup(fp(1)),
+            Some(CachedOutcome::Ok { nodes: 0, counts }) if counts.0 == values
+        ));
     }
 
     #[test]

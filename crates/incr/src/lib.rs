@@ -13,9 +13,9 @@
 //!   append-only log of checksummed JSON records per typed
 //!   [`disk::Table`], compacted by an atomic snapshot. Its check table,
 //!   [`DiskCache`], holds per-function check summaries keyed by
-//!   fingerprint, carrying enough (verdict, derivation shape, span
-//!   counters) to replay reports, diagnostics, and `--metrics json`
-//!   spans byte-for-byte; FA002's
+//!   fingerprint, carrying enough (verdict and the `check` span's
+//!   [`CheckCounts`](fearless_core::CheckCounts)) to replay reports,
+//!   diagnostics, and `--metrics json` spans byte-for-byte; FA002's
 //!   probes, `fearlessc check --cache`, and the daemon all answer from
 //!   it. `fearless-flow` keeps its flow summaries in a second table.
 //! * [`sched`] — chunks the misses, in definition order, into batches
@@ -38,53 +38,12 @@ pub mod sched;
 use fearless_core::env::Globals;
 use fearless_core::{check, CheckerOptions, Fingerprint, TypeError};
 use fearless_syntax::{Program, Span};
-use fearless_trace::{MemorySink, Tracer};
+use fearless_trace::Tracer;
 
 pub use disk::{checksum_hex, CachedOutcome, CheckTable, DiskCache, LoadOutcome, Store, Table};
 /// The reader the cache logs are loaded with; `perfbench` calls it
 /// through this path.
 pub use fearless_trace::parse_json;
-
-/// Every counter name a `check` span can carry, used to re-intern
-/// counters parsed back from the on-disk cache as the `&'static str`
-/// keys the trace layer requires. `counter_names::intern` must stay in
-/// sync with `fearless_core::check::emit_check_metrics`; the
-/// `all_emitted_counters_are_internable` test in this crate's
-/// integration suite guards the pairing.
-pub mod counter_names {
-    /// The full table.
-    pub const ALL: &[&str] = &[
-        "check.deriv_nodes",
-        "check.vir_steps",
-        "check.liveness_queries",
-        "check.oracle_queries",
-        "check.oracle_hits",
-        "check.oracle_misses",
-        "check.joins_greedy",
-        "check.joins_fallback",
-        "search.runs",
-        "search.nodes",
-        "search.backtracks",
-        "search.enqueued",
-        "search.unify_attempts",
-        "search.unify_failures",
-        "search.exhausted",
-        "vir.focus",
-        "vir.unfocus",
-        "vir.explore",
-        "vir.retract",
-        "vir.attach",
-        "vir.weaken",
-        "vir.rename",
-        "vir.invalidate",
-        "vir.scrub-field",
-    ];
-
-    /// Maps a counter name back to its static identity, if known.
-    pub fn intern(name: &str) -> Option<&'static str> {
-        ALL.iter().find(|k| **k == name).copied()
-    }
-}
 
 /// Hit/miss/invalidation counters for one store's traffic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -178,7 +137,7 @@ impl UnitReport {
         self.functions
             .iter()
             .filter_map(|f| match &f.outcome {
-                CachedOutcome::Ok { vir_steps, .. } => Some(*vir_steps),
+                CachedOutcome::Ok { counts, .. } => Some(counts.vir_steps()),
                 _ => None,
             })
             .sum()
@@ -229,10 +188,6 @@ pub fn check_units(
             }
         }
     }
-    // Tracing and the cache both need the per-function counter map; a
-    // bare run can skip collecting it entirely.
-    let want_counters = tracer.is_enabled() || cache.is_some();
-
     // Phase 1 (serial): validate environments and, when a cache is
     // given, fingerprint every function and split into hits and misses.
     // Without a cache nothing reads a fingerprint, so none is computed
@@ -303,7 +258,7 @@ pub fn check_units(
             .iter()
             .map(|&(ui, fi)| {
                 let globals = pending[ui].globals.as_ref().expect("misses imply globals");
-                check_one(globals, options, &units[ui].1.funcs[fi], want_counters)
+                check_one(globals, options, &units[ui].1.funcs[fi])
             })
             .collect::<Vec<_>>()
     });
@@ -362,36 +317,14 @@ pub fn check_units(
     run
 }
 
-/// Checks one function and summarizes the outcome (with its span
-/// counters when `want_counters`).
+/// Checks one function and summarizes the outcome.
 fn check_one(
     globals: &Globals,
     options: &CheckerOptions,
     def: &fearless_syntax::FnDef,
-    want_counters: bool,
 ) -> CachedOutcome {
-    let mut sink = MemorySink::new();
-    let mut tracer = if want_counters {
-        Tracer::new(&mut sink)
-    } else {
-        Tracer::off()
-    };
-    match check::check_fn_traced(globals, options, def, &mut tracer) {
-        Ok(d) => CachedOutcome::Ok {
-            nodes: d.len() as u64,
-            vir_steps: d.vir_steps as u64,
-            search_nodes: d.search_nodes as u64,
-            counters: sink
-                .spans()
-                .next()
-                .map(|s| {
-                    s.counters
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), *v))
-                        .collect()
-                })
-                .unwrap_or_default(),
-        },
+    match check::check_fn_counted(globals, options, def) {
+        Ok((_, counts)) => CachedOutcome::checked(counts),
         Err(e) => CachedOutcome::Err {
             message: e.message().to_string(),
             span_lo: e.span().lo,
@@ -401,19 +334,17 @@ fn check_one(
 }
 
 /// Replays one function's `check` span into `tracer`. Fresh and cached
-/// outcomes replay identically, which is what makes warm metrics match
-/// cold metrics byte-for-byte.
+/// outcomes replay identically, and through the same
+/// [`CheckCounts::emit`](fearless_core::CheckCounts::emit) a live check
+/// uses, which is what makes warm metrics match cold metrics
+/// byte-for-byte.
 fn replay_span(tracer: &mut Tracer<'_>, name: &str, outcome: &CachedOutcome) {
     if !tracer.is_enabled() {
         return;
     }
     tracer.span_enter("check", name);
-    if let CachedOutcome::Ok { counters, .. } = outcome {
-        for (k, v) in counters {
-            if let Some(key) = counter_names::intern(k) {
-                tracer.add(key, *v);
-            }
-        }
+    if let CachedOutcome::Ok { counts, .. } = outcome {
+        counts.emit(tracer);
     }
     tracer.span_exit();
 }

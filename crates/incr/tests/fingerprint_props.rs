@@ -116,10 +116,10 @@ proptest! {
                     prop_assert_eq!(c.derivations.len(), unit.functions.len());
                     for (d, f) in c.derivations.iter().zip(&unit.functions) {
                         match &f.outcome {
-                            CachedOutcome::Ok { nodes, vir_steps, search_nodes, .. } => {
+                            CachedOutcome::Ok { nodes, counts } => {
                                 prop_assert_eq!(*nodes, d.len() as u64);
-                                prop_assert_eq!(*vir_steps, d.vir_steps as u64);
-                                prop_assert_eq!(*search_nodes, d.search_nodes as u64);
+                                prop_assert_eq!(counts.vir_steps(), d.vir_steps as u64);
+                                prop_assert_eq!(counts.search_nodes(), d.search_nodes as u64);
                             }
                             CachedOutcome::Err { message, .. } => {
                                 prop_assert!(false, "{} failed: {message}", f.name)

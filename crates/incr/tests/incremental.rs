@@ -3,7 +3,7 @@
 //! metrics bytes (the dedicated `cache` summary span excepted).
 
 use fearless_core::CheckerOptions;
-use fearless_incr::{check_units, counter_names, DiskCache};
+use fearless_incr::{check_units, DiskCache};
 use fearless_syntax::{parse_program, Program};
 use fearless_trace::{MemorySink, Tracer};
 
@@ -109,36 +109,71 @@ fn warm_check_spans_match_a_cacheless_cold_run() {
     assert!(!bare_sink.spans().any(|m| m.phase == "cache"));
 }
 
+/// The `check` spans of `sink`, rendered without wall time.
+fn rendered_check_spans(sink: &MemorySink) -> Vec<String> {
+    sink.spans()
+        .filter(|m| m.phase == "check")
+        .map(|m| m.to_json_value_opts(false).render_compact())
+        .collect()
+}
+
 #[test]
-fn all_emitted_counters_are_internable() {
-    // Every counter name a live `check` span can carry must survive the
-    // String round-trip through the disk cache, or warm metrics would
-    // silently drop it. Guards `counter_names::ALL` against additions to
-    // `fearless_core::check::emit_check_metrics`.
-    let units = corpus_units();
-    let mut sink = MemorySink::new();
-    check_units(
-        &units,
-        &CheckerOptions::default(),
-        1,
-        None,
-        &mut Tracer::new(&mut sink),
-    );
-    let mut seen = 0usize;
-    for m in sink.spans() {
-        if m.phase != "check" {
-            continue;
-        }
-        for k in m.counters.keys() {
-            assert_eq!(
-                counter_names::intern(k),
-                Some(*k),
-                "counter `{k}` missing from counter_names::ALL"
-            );
-            seen += 1;
+fn live_cold_and_warm_check_spans_are_identical() {
+    // A direct traced check, a cold driver run and a warm replay all
+    // emit through `fearless_core::CheckCounts::emit`; every corpus
+    // entry and a synthesized program must produce the same spans on
+    // all three paths.
+    let synth = fearless_synth::synthesize(&fearless_synth::SynthOptions {
+        seed: 7,
+        ..fearless_synth::SynthOptions::default()
+    });
+    let mut sources: Vec<(String, String)> = fearless_corpus::all_entries()
+        .iter()
+        .map(|e| (e.name.to_string(), e.source.to_string()))
+        .collect();
+    sources.push(("synth-7".to_string(), synth));
+    let opts = CheckerOptions::default();
+    let mut checked_fns = 0;
+    for (name, src) in &sources {
+        let mut live = MemorySink::new();
+        let direct = fearless_core::check_source_traced(src, &opts, &mut Tracer::new(&mut live));
+        let units = vec![(String::new(), parse_program(src).expect("parses"))];
+        let mut cache = DiskCache::ephemeral();
+        let mut cold = MemorySink::new();
+        check_units(
+            &units,
+            &opts,
+            2,
+            Some(&mut cache),
+            &mut Tracer::new(&mut cold),
+        );
+        let mut warm = MemorySink::new();
+        let run = check_units(
+            &units,
+            &opts,
+            2,
+            Some(&mut cache),
+            &mut Tracer::new(&mut warm),
+        );
+        assert_eq!(run.stats.misses, 0, "{name}: the second run replays");
+
+        let (live, cold, warm) = (
+            rendered_check_spans(&live),
+            rendered_check_spans(&cold),
+            rendered_check_spans(&warm),
+        );
+        assert_eq!(cold, warm, "{name}: cold and warm spans");
+        // A direct check stops at the first failing function; up to
+        // there its spans are the driver's.
+        match direct {
+            Ok(checked) => {
+                assert_eq!(live, cold, "{name}: live and cold spans");
+                checked_fns += checked.derivations.len();
+            }
+            Err(_) => assert_eq!(live, cold[..live.len()], "{name}: live prefix"),
         }
     }
-    assert!(seen > 0, "corpus run emitted no counters at all");
+    assert!(checked_fns > 200, "only {checked_fns} functions checked");
 }
 
 #[test]

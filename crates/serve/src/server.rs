@@ -47,7 +47,7 @@
 //! warmth never changes response bytes, so post-crash responses are
 //! byte-identical to an uninterrupted run — the chaos drill pins this.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -165,7 +165,8 @@ struct Job {
 
 struct State {
     queue: VecDeque<Job>,
-    inflight: BTreeSet<String>,
+    /// The response channels parked on each queued or in-flight key; its
+    /// key set is the set of keys being computed.
     waiters: BTreeMap<String, Vec<Sender<Arc<Response>>>>,
     memo: BTreeMap<String, Arc<Response>>,
     /// The previous memo generation, kept across `reset` — the
@@ -280,7 +281,6 @@ impl Server {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                inflight: BTreeSet::new(),
                 waiters: BTreeMap::new(),
                 memo: BTreeMap::new(),
                 stale_memo: BTreeMap::new(),
@@ -382,7 +382,7 @@ fn drain(shared: &Shared) {
     st.paused = false;
     reject_queued(shared, &mut st);
     shared.work_cv.notify_all();
-    while !st.inflight.is_empty() {
+    while !st.waiters.is_empty() {
         st = shared.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
     }
 }
@@ -400,7 +400,6 @@ fn reject_queued(shared: &Shared, st: &mut State) {
     ));
     while let Some(job) = st.queue.pop_front() {
         st.counters.rejected_draining += 1;
-        st.inflight.remove(&job.key);
         for tx in st.waiters.remove(&job.key).unwrap_or_default() {
             let _ = tx.send(Arc::clone(&r));
         }
@@ -485,7 +484,6 @@ fn worker_loop(shared: &Shared) -> WorkerExit {
             let mut st = lock_state(shared);
             st.memo.insert(job.key.clone(), Arc::clone(&response));
             st.counters.computed += 1;
-            st.inflight.remove(&job.key);
             let waiters = st.waiters.remove(&job.key).unwrap_or_default();
             shared.done_cv.notify_all();
             waiters
@@ -521,7 +519,6 @@ fn handle_worker_crash(shared: &Shared, job: Job, msg: &str) {
     ));
     st.memo.insert(job.key.clone(), Arc::clone(&response));
     st.counters.quarantined += 1;
-    st.inflight.remove(&job.key);
     let waiters = st.waiters.remove(&job.key).unwrap_or_default();
     shared.done_cv.notify_all();
     drop(st);
@@ -622,18 +619,16 @@ fn compute(kind: &str, src: &str, shared: &Shared) -> Response {
                 Ok(p) => p,
                 Err(e) => return Response::error(codes::DIAGNOSTIC, e.render(src)),
             };
-            let checked = match fearless_core::check_program_traced(
-                &program,
-                &opts,
-                &mut Tracer::new(&mut sink),
-            ) {
-                Ok(c) => c,
-                Err(e) => return Response::error(codes::DIAGNOSTIC, e.render(src)),
-            };
+            let units = vec![(String::new(), program)];
+            let run =
+                fearless_incr::check_units(&units, &opts, 1, None, &mut Tracer::new(&mut sink));
+            if let Some(e) = run.units[0].first_error() {
+                return Response::error(codes::DIAGNOSTIC, e.render(src));
+            }
             // Logical counters only: no wall clock, so identical bodies
             // yield byte-identical profiles.
             let mut r = Response::ok(sink.to_json_value_opts(false).render());
-            r.cost = Some(checked.total_nodes() as u64);
+            r.cost = Some(run.units[0].total_nodes());
             r
         }
         other => Response::error(codes::UNKNOWN_KIND, format!("unknown work kind `{other}`")),
@@ -722,15 +717,9 @@ fn respond(shared: &Shared, req: &Request) -> Response {
             Response::ok(doc.render())
         }
         "shutdown" => {
-            st.draining = true;
-            st.paused = false;
-            reject_queued(shared, &mut st);
-            shared.work_cv.notify_all();
-            while !st.inflight.is_empty() {
-                st = shared.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            let computed = st.counters.computed;
             drop(st);
+            drain(shared);
+            let computed = lock_state(shared).counters.computed;
             let save = save_cache_once(shared);
             shared.stop_accept.store(true, Ordering::SeqCst);
             match save {
@@ -788,7 +777,7 @@ fn stats_doc(shared: &Shared, st: &State) -> Json {
             ]),
         ),
         ("queue_len_nondet", Json::U64(st.queue.len() as u64)),
-        ("inflight_nondet", Json::U64(st.inflight.len() as u64)),
+        ("inflight_nondet", Json::U64(st.waiters.len() as u64)),
         ("histograms", st.hists.to_json_value()),
     ])
 }
@@ -831,10 +820,10 @@ fn dispatch_work(shared: &Shared, req: &Request) -> Response {
             finish_work(&mut st, &r);
             return (*r).clone();
         }
-        if st.inflight.contains(&key) {
+        if let Some(waiters) = st.waiters.get_mut(&key) {
+            waiters.push(tx);
             st.counters.dedupe_hits += 1;
             st.counters.coalesced += 1;
-            st.waiters.entry(key.clone()).or_default().push(tx);
             true
         } else if st.draining {
             st.counters.rejected_draining += 1;
@@ -858,7 +847,6 @@ fn dispatch_work(shared: &Shared, req: &Request) -> Response {
             st.counters.shed += 1;
             return Response::overloaded(shared.opts.retry_after_millis);
         } else {
-            st.inflight.insert(key.clone());
             st.waiters.insert(key.clone(), vec![tx]);
             st.queue.push_back(Job {
                 key: key.clone(),

@@ -289,3 +289,43 @@ fn serve_bench_is_deterministic_across_runs() {
     spawned.shutdown_and_join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn profile_responses_match_their_golden() {
+    // The `profile` kind's response bytes, for a corpus body that checks
+    // and for one that does not. Re-bless with
+    // BLESS=1 cargo test -p fearless-serve --test serve_e2e
+    let dir = scratch("profile-golden");
+    let socket = dir.join("serve.sock");
+    let spawned = Server::spawn(ServeOptions::new(&socket)).expect("spawn");
+    let mut c = Client::connect(&socket).expect("connect");
+    let entries = fearless_corpus::all_entries();
+    let pass = entries
+        .iter()
+        .find(|e| e.accepted)
+        .expect("an accepted entry");
+    let fail = entries
+        .iter()
+        .find(|e| !e.accepted)
+        .expect("a rejected entry");
+    let mut actual = String::new();
+    for entry in [pass, fail] {
+        let r = c.request("profile", &entry.source).expect("profile");
+        actual.push_str(&format!("== {} ==\n{}", entry.name, r.to_json()));
+    }
+    let r = c.request("shutdown", "").expect("shutdown");
+    assert_eq!(r.code, codes::OK, "{}", r.output);
+    spawned.shutdown_and_join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/profile_responses.txt");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden ({e}); run with BLESS=1"));
+    assert!(expected == actual, "profile responses drifted:\n{actual}");
+}

@@ -132,16 +132,6 @@ impl Json {
         out
     }
 
-    /// Renders an object of borrowed fields exactly as
-    /// `Json::obj(fields).render()` would, without moving or cloning the
-    /// values into a tree first.
-    pub fn render_fields(fields: &[(&str, &Json)]) -> String {
-        let mut out = String::new();
-        write_obj(&mut out, fields.iter().map(|(k, v)| (*k, *v)), 0);
-        out.push('\n');
-        out
-    }
-
     /// Renders the value on a single line, no trailing newline — for
     /// line-oriented formats (e.g. the incremental cache's record log)
     /// where one value must occupy exactly one line.
@@ -204,31 +194,25 @@ impl Json {
                 newline_indent(out, depth);
                 out.push(']');
             }
-            Json::Obj(fields) => write_obj(out, fields.iter().map(|(k, v)| (k.as_str(), v)), depth),
+            Json::Obj(fields) => {
+                if fields.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, depth + 1);
+                    write_str(out, k);
+                    out.push_str(": ");
+                    v.write(out, depth + 1);
+                }
+                newline_indent(out, depth);
+                out.push('}');
+            }
         }
-    }
-}
-
-/// Writes a pretty-printed object at `depth` from borrowed fields.
-fn write_obj<'a>(
-    out: &mut String,
-    fields: impl Iterator<Item = (&'a str, &'a Json)>,
-    depth: usize,
-) {
-    let mut empty = true;
-    for (k, v) in fields {
-        out.push(if empty { '{' } else { ',' });
-        empty = false;
-        newline_indent(out, depth + 1);
-        write_str(out, k);
-        out.push_str(": ");
-        v.write(out, depth + 1);
-    }
-    if empty {
-        out.push_str("{}");
-    } else {
-        newline_indent(out, depth);
-        out.push('}');
     }
 }
 
@@ -406,17 +390,6 @@ mod tests {
             };
             assert_eq!(escape(&char::from(b).to_string()), expected);
         }
-    }
-
-    #[test]
-    fn render_fields_matches_an_owned_object() {
-        let a = Json::Arr(vec![Json::U64(u64::MAX), Json::str("x\"y")]);
-        let b = Json::Obj(Vec::new());
-        assert_eq!(
-            Json::render_fields(&[("a", &a), ("b", &b)]),
-            Json::obj([("a", a.clone()), ("b", b.clone())]).render()
-        );
-        assert_eq!(Json::render_fields(&[]), "{}\n");
     }
 
     #[test]
